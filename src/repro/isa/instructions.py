@@ -115,8 +115,6 @@ class Opcode(Enum):
     STRXui = "STRXui"      # src, base, imm
     LDRXroX = "LDRXroX"    # dst, base, idx          load 8 bytes [base + idx*8]
     STRXroX = "STRXroX"    # src, base, idx
-    LDRBroX = "LDRBroX"    # dst, base, idx          load 1 byte  [base + idx]
-    STRBroX = "STRBroX"    # src, base, idx
     LDPXi = "LDPXi"        # r1, r2, base, imm
     STPXi = "STPXi"        # r1, r2, base, imm
     STPXpre = "STPXpre"    # r1, r2, base, imm       pre-index writeback (push pair)
@@ -180,8 +178,6 @@ _DEF_USE: Dict[Opcode, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {
     Opcode.STRXui: ((), (0, 1)),
     Opcode.LDRXroX: ((0,), (1, 2)),
     Opcode.STRXroX: ((), (0, 1, 2)),
-    Opcode.LDRBroX: ((0,), (1, 2)),
-    Opcode.STRBroX: ((), (0, 1, 2)),
     Opcode.LDPXi: ((0, 1), (2,)),
     Opcode.STPXi: ((), (0, 1, 2)),
     Opcode.STPXpre: ((2,), (0, 1, 2)),
@@ -219,11 +215,11 @@ _READS_FLAGS = {Opcode.CSETXi, Opcode.Bcc}
 _TERMINATORS = {Opcode.B, Opcode.Bcc, Opcode.CBZX, Opcode.CBNZX, Opcode.RET, Opcode.BRK}
 _CALLS = {Opcode.BL, Opcode.BLR}
 _LOADS = {
-    Opcode.LDRXui, Opcode.LDRXroX, Opcode.LDRBroX, Opcode.LDPXi,
+    Opcode.LDRXui, Opcode.LDRXroX, Opcode.LDPXi,
     Opcode.LDPXpost, Opcode.LDRDui, Opcode.LDRDroX,
 }
 _STORES = {
-    Opcode.STRXui, Opcode.STRXroX, Opcode.STRBroX, Opcode.STPXi,
+    Opcode.STRXui, Opcode.STRXroX, Opcode.STPXi,
     Opcode.STPXpre, Opcode.STRDui, Opcode.STRDroX, Opcode.STRXpre,
 }
 _LOADS.add(Opcode.LDRXpost)

@@ -12,6 +12,9 @@ from typing import Dict, Optional
 from repro.lir import ir
 
 _INT_MASK = (1 << 64) - 1
+#: Values whose truncation fits in Int64: [-2**63, 2**63).
+_INT_MIN = -(1 << 63)
+_INT_END = 1 << 63
 
 
 def _wrap(value: int) -> int:
@@ -112,11 +115,13 @@ def fold_function(fn: ir.LIRFunction) -> int:
                     folded = ir.Const(0 if instr.value.value else 1)
             elif isinstance(instr, ir.Convert):
                 if isinstance(instr.value, ir.Const):
+                    value = instr.value.value
                     if instr.kind == "int_to_double":
-                        folded = ir.Const(float(instr.value.value),
-                                          is_float=True)
-                    else:
-                        folded = ir.Const(int(instr.value.value))
+                        folded = ir.Const(float(value), is_float=True)
+                    elif _INT_MIN <= value < _INT_END:
+                        # NaN, infinities and out-of-range values are
+                        # left for the conversion to trap at run time.
+                        folded = ir.Const(int(value))
             elif isinstance(instr, ir.Phi):
                 ops = {op if not isinstance(op, ir.Const) else ("c", op.value,
                                                                 op.is_float)

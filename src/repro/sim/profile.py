@@ -167,7 +167,7 @@ class ProfileCollector:
         self._call_pairs: Dict[Tuple[int, int], int] = {}
         self._taken: Dict[int, int] = {}
 
-    # -- event hooks (called from CPU._execute on branch opcodes only) -----
+    # -- event hooks (called from the CPU's branch handlers only) ---------
 
     def on_call(self, src_pc: int, dst_addr: int) -> None:
         key = (src_pc, dst_addr)

@@ -94,6 +94,12 @@ class TimingModel:
         self.taken_branches = 0
         self.mispredicts = 0
         self._branch_history: Dict[int, int] = {}
+        # Fetch memo: the icache line the previous fetch touched last and
+        # the iTLB page it touched.  Only fetches access these two
+        # structures, so both are still most-recent in their sets, and
+        # touching them again is a hit that leaves the LRU order as it is.
+        self._fetch_line = -1
+        self._fetch_page = -1
 
     # -- events ------------------------------------------------------------
 
@@ -104,21 +110,35 @@ class TimingModel:
         never span a cache line, so the extra end-of-instruction access is
         a no-op there; on compressed targets a 4-byte instruction at a
         2-byte boundary can straddle two lines and both are touched.
+
+        A fetch that lies wholly in the memoised line, or starts in the
+        memoised page, is counted as a hit without walking the LRU list:
+        exact, because a hit on the most-recent entry of a set changes
+        nothing but the hit count.
         """
+        cfg = self.config
         self.cycles += 1
-        if not self.icache.access(addr):
-            self.cycles += self.config.icache_miss_cycles
-        last = addr + width - 1
-        if last // self.config.line_bytes != addr // self.config.line_bytes:
-            if not self.icache.access(last):
-                self.cycles += self.config.icache_miss_cycles
+        line = addr // cfg.line_bytes
+        end_line = (addr + width - 1) // cfg.line_bytes
+        if line == end_line == self._fetch_line:
+            self.icache.hits += 1
+        else:
+            if not self.icache.access(addr):
+                self.cycles += cfg.icache_miss_cycles
+            if end_line != line and not self.icache.access(addr + width - 1):
+                self.cycles += cfg.icache_miss_cycles
+            self._fetch_line = end_line
+        page = addr // cfg.page_bytes
+        if page == self._fetch_page:
+            self.itlb.hits += 1
+            return
+        self._fetch_page = page
         if not self.itlb.access(addr):
-            self.cycles += self.config.itlb_miss_cycles
-            page = addr // self.config.page_bytes
+            self.cycles += cfg.itlb_miss_cycles
             if page not in self.text_pages:
                 self.text_pages.add(page)
                 self.text_page_faults += 1
-                self.cycles += self.config.text_page_fault_cycles
+                self.cycles += cfg.text_page_fault_cycles
 
     def on_taken_branch(self, src: int, dst: int) -> None:
         """A taken *conditional* branch: predictor history applies."""

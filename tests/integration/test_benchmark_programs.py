@@ -1,10 +1,21 @@
 """All 26 Swiftlet algorithm benchmarks compile, run, and stay leak-free;
-outputs match known-good values (regression-pinned)."""
+outputs match known-good values (regression-pinned), and every run's
+simulator counters match ``tests/fixtures/sim_counters.json``."""
+
+import importlib.util
+import os
 
 import pytest
 
-from repro.pipeline import BuildConfig, build_program, run_build
 from repro.workloads.swift_benchmarks import BENCHMARK_NAMES, load_benchmark
+
+_MAKE_SIM_COUNTERS = os.path.join(os.path.dirname(__file__), os.pardir,
+                                  "fixtures", "make_sim_counters.py")
+_spec = importlib.util.spec_from_file_location("make_sim_counters",
+                                               _MAKE_SIM_COUNTERS)
+make_sim_counters = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_sim_counters)
+SIM_COUNTERS = make_sim_counters.load()
 
 # Known-good outputs (pinned from the reference run; any compiler change
 # that alters these is a miscompile until proven otherwise).
@@ -36,11 +47,22 @@ EXPECTED = {
 }
 
 
+def timed_run(name, rounds):
+    """Build and run *name* on the pinned timing model, and check the run's
+    counters against the fixture when the build matches the fixture's
+    (``merge_mode`` off; the target is the session's)."""
+    build = make_sim_counters.build(name, rounds)
+    run, observed = make_sim_counters.timed_run(build)
+    if build.config.merge_mode == "off":
+        pinned = SIM_COUNTERS[build.config.target][
+            make_sim_counters.config_key(rounds)][name]
+        assert observed == pinned, name
+    return run
+
+
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_benchmark_runs_clean(name):
-    build = build_program({name: load_benchmark(name)},
-                          BuildConfig(outline_rounds=0))
-    run = run_build(build, max_steps=20_000_000)
+    run = timed_run(name, 0)
     assert run.leaked == [], name
     if name in EXPECTED:
         assert run.output == EXPECTED[name], name
@@ -48,18 +70,11 @@ def test_benchmark_runs_clean(name):
         assert run.output, name
 
 
-@pytest.mark.parametrize("name", ["BFS", "QuickSort", "JSON",
-                                  "RedBlackTree", "SplayTree",
-                                  "SimulatedAnnealing"])
+@pytest.mark.parametrize("name", make_sim_counters.OUTLINED_SUBSET)
 def test_benchmark_outlining_equivalence(name):
     """Representative subset: 5-round outlining preserves exact output."""
-    src = load_benchmark(name)
-    base = run_build(build_program({name: src},
-                                   BuildConfig(outline_rounds=0)),
-                     max_steps=20_000_000)
-    opt = run_build(build_program({name: src},
-                                  BuildConfig(outline_rounds=5)),
-                    max_steps=20_000_000)
+    base = timed_run(name, 0)
+    opt = timed_run(name, 5)
     assert base.output == opt.output, name
     assert opt.leaked == [], name
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError, TrapError
 from repro.pipeline import BuildConfig, build_program, run_build
+from repro.sim.cpu import CONVERSION_TRAP
 
 
 def run(source, module="T", **cfg):
@@ -70,6 +71,18 @@ func main() {
 }
 """)
         assert out == ["3", "-3", "42.0"]
+
+    @pytest.mark.parametrize("source", [
+        "func main() { let z = 0.0\n print(Int(z / z)) }",     # NaN
+        "func main() { let z = 0.0\n print(Int(1.0 / z)) }",   # +inf
+        "func main() { print(Int(1.0e300)) }",   # constant: not folded
+        "func main() { let x = 1.0e300\n print(Int(-x)) }",
+    ])
+    def test_unrepresentable_conversion_traps(self, source):
+        # Swift's Int(_: Double) traps rather than crash or wrap.
+        with pytest.raises(TrapError) as exc:
+            run(source)
+        assert exc.value.code == CONVERSION_TRAP
 
 
 class TestControlFlow:

@@ -15,7 +15,9 @@ from repro.isa.instructions import (
     materialize_constant,
 )
 from repro.link.linker import link_binary
-from repro.sim.cpu import CPU, run_binary
+from repro.obs import Tracer, use_tracer
+from repro.sim.cpu import CONVERSION_TRAP, CPU, run_binary
+from repro.sim.timing import TimingModel
 
 
 def mi(opcode, *operands, **kw):
@@ -267,6 +269,27 @@ class TestFloat:
         assert cpu.regs["d1"] == 7.0
         assert cpu.regs["x0"] == 3
 
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), 2.0 ** 63, 1.0e300,
+        -1.0e300])
+    def test_unrepresentable_conversion_traps(self, value):
+        body = [
+            mi(Opcode.FMOVDi, "d1", value),
+            mi(Opcode.FCVTZSXD, "x0", "d1"),
+            mi(Opcode.RET),
+        ]
+        with pytest.raises(TrapError) as exc:
+            run_and_get(body)
+        assert exc.value.code == CONVERSION_TRAP
+
+    def test_conversion_at_int64_min_is_exact(self):
+        body = [
+            mi(Opcode.FMOVDi, "d1", -2.0 ** 63),
+            mi(Opcode.FCVTZSXD, "x0", "d1"),
+            mi(Opcode.RET),
+        ]
+        assert run_and_get(body) == -(1 << 63)
+
     def test_fcmp_branching(self):
         body = [
             mi(Opcode.FMOVDi, "d1", 1.5),
@@ -313,6 +336,54 @@ class TestTrapsAndErrors:
         with pytest.raises(SimulationError):
             CPU(image, max_steps=1000).run(check_leaks=False)
 
+    def test_exactly_max_steps_succeed(self):
+        body = [mi(Opcode.MOVZXi, "x0", i, 0) for i in range(3)]
+        image = assemble(body + [mi(Opcode.RET)])
+        cpu = CPU(image, max_steps=4)
+        assert cpu.run(check_leaks=False).steps == 4
+        cpu = CPU(image, max_steps=3)
+        with pytest.raises(SimulationError, match="step limit"):
+            cpu.run(check_leaks=False)
+        # The refused fetch is counted; the RET never executed.
+        assert cpu.steps == 4 and cpu.regs["x0"] == 2
+
+    def test_counters_survive_a_mid_run_fault(self):
+        outlined = MachineFunction(name="OUTLINED_FUNCTION_0",
+                                   is_outlined=True)
+        outlined.new_block("entry").instrs.extend([
+            mi(Opcode.MOVZXi, "x1", 0x100, 0),
+            mi(Opcode.LDRXui, "x0", "x1", 0),   # undefined memory
+            mi(Opcode.RET),
+        ])
+        image = assemble([mi(Opcode.MOVZXi, "x2", 1, 0),
+                          mi(Opcode.BL, Sym("OUTLINED_FUNCTION_0")),
+                          mi(Opcode.RET)], extra_functions=[outlined])
+        cpu = CPU(image)
+        with pytest.raises(SimulationError, match="undefined memory"):
+            cpu.run(check_leaks=False)
+        assert (cpu.steps, cpu.outlined_steps) == (4, 2)
+        faulting = image.instrs[image.index_of_addr(cpu.pc)]
+        assert faulting.opcode is Opcode.LDRXui
+
+    def test_jump_to_non_instruction_start_on_thumb2c(self):
+        callee = MachineFunction(name="callee")
+        callee.new_block("entry").instrs.extend([
+            mi(Opcode.MOVZXi, "x0", 1, 0), mi(Opcode.RET)])
+        fn = MachineFunction(name="main")
+        fn.new_block("entry").instrs.extend([
+            mi(Opcode.ADRP, "x1", Sym("callee")),
+            mi(Opcode.ADDlo, "x1", "x1", Sym("callee")),
+            mi(Opcode.ADDXri, "x1", "x1", 1),
+            mi(Opcode.BLR, "x1"),
+            mi(Opcode.RET),
+        ])
+        image = link_binary([MachineModule(name="m",
+                                           functions=[fn, callee])],
+                            entry_symbol="main", target="thumb2c")
+        with pytest.raises(SimulationError,
+                           match="not an instruction start"):
+            CPU(image).run(check_leaks=False)
+
     def test_missing_entry_symbol(self):
         image = assemble([mi(Opcode.RET)])
         with pytest.raises(SimulationError):
@@ -342,3 +413,20 @@ class TestRuntimeDispatch:
         cpu = CPU(image)
         result = cpu.run(check_leaks=False)
         assert result.output == ["5"]
+
+
+class TestSimRunSpan:
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_span_carries_retired_instructions_and_cycles(self, timed):
+        image = assemble([mi(Opcode.MOVZXi, "x0", 1, 0), mi(Opcode.RET)])
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = run_binary(image, check_leaks=False,
+                                timing=TimingModel() if timed else None)
+        (span,) = [s for s in tracer.all_spans() if s.name == "sim-run"]
+        assert span.attrs["steps"] == result.steps == 2
+        assert span.attrs["outlined_steps"] == 0
+        if timed:
+            assert span.attrs["cycles"] == result.cycles > 0
+        else:
+            assert "cycles" not in span.attrs

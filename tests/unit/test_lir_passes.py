@@ -152,6 +152,27 @@ class TestConstProp:
         # The division must survive (it traps at runtime).
         assert any(isinstance(i, ir.BinOp) for i in fn.instructions())
 
+    @pytest.mark.parametrize("value,folded", [
+        (3.9, 3), (-3.9, -3), (-2.0 ** 63, -(1 << 63)),
+        (float("nan"), None), (float("inf"), None), (float("-inf"), None),
+        (2.0 ** 63, None), (1.0e300, None), (-1.0e300, None),
+    ])
+    def test_double_to_int_folds_only_representable_values(self, value,
+                                                           folded):
+        # Int(x) traps at run time on NaN, infinities and values outside
+        # Int64, so those conversions must survive folding.
+        fn = ir.LIRFunction(symbol="f", has_return_value=True)
+        entry = fn.new_block("entry")
+        a = fn.new_value()
+        entry.instrs.append(ir.Convert(result=a, kind="double_to_int",
+                                       value=ir.Const(value, is_float=True)))
+        entry.instrs.append(ir.Ret(value=a))
+        constprop.run_on_function(fn)
+        if folded is None:
+            assert any(isinstance(i, ir.Convert) for i in fn.instructions())
+        else:
+            assert fn.entry.terminator.value == ir.Const(folded)
+
     def test_folds_conditional_branch(self):
         fn = build_diamond_with_alloca()
         fn.entry.instrs[-1] = ir.CondBr(cond=ir.Const(1), true_target="then",

@@ -1,5 +1,7 @@
 """Cache/TLB models and the cycle timing model."""
 
+from hypothesis import example, given, settings, strategies as st
+
 from repro.sim.caches import TLB, SetAssociativeCache
 from repro.sim.timing import DEVICE_GRID, DeviceConfig, TimingModel
 
@@ -216,3 +218,72 @@ class TestITLBPageBoundary:
         assert t.text_page_faults == 6, "resident page refaulted"
         # But the second sweep did pay iTLB miss cycles (capacity misses).
         assert t.cycles > faults_cycles + 6
+
+
+def reference_fetch(t: TimingModel, addr: int, width: int) -> None:
+    """The fetch rule spelled out with one LRU walk per access: what
+    :meth:`TimingModel.on_instr` must stay equal to, memo or not."""
+    cfg = t.config
+    t.cycles += 1
+    if not t.icache.access(addr):
+        t.cycles += cfg.icache_miss_cycles
+    last = addr + width - 1
+    if last // cfg.line_bytes != addr // cfg.line_bytes:
+        if not t.icache.access(last):
+            t.cycles += cfg.icache_miss_cycles
+    if not t.itlb.access(addr):
+        t.cycles += cfg.itlb_miss_cycles
+        page = addr // cfg.page_bytes
+        if page not in t.text_pages:
+            t.text_pages.add(page)
+            t.text_page_faults += 1
+            t.cycles += cfg.text_page_fault_cycles
+
+
+#: Machines small enough that short streams evict lines and pages; the
+#: second has a single icache set, where every access reorders one list.
+_TINY = (DeviceConfig(name="tiny", icache_bytes=256, icache_ways=2,
+                      line_bytes=64, itlb_entries=4, page_bytes=256),
+         DeviceConfig(name="one-set", icache_bytes=128, icache_ways=2,
+                      line_bytes=64, itlb_entries=2, page_bytes=128))
+
+
+@st.composite
+def fetch_streams(draw):
+    """Runs of sequential 2/4-byte fetches, each starting near a line or
+    page edge, so runs stay in a line, straddle lines, cross pages, and
+    come back to lines an earlier run touched."""
+    cfg = draw(st.sampled_from([*_TINY, DEVICE_GRID[0]]))
+    stream = []
+    for _ in range(draw(st.integers(1, 12))):
+        edge = draw(st.sampled_from([cfg.line_bytes, cfg.page_bytes]))
+        # Few distinct edges, so later runs revisit earlier lines.
+        addr = max(0, draw(st.integers(0, 6)) * edge
+                   + draw(st.integers(-6, 6)))
+        for width in draw(st.lists(st.sampled_from([2, 4]), min_size=1,
+                                   max_size=40)):
+            stream.append((addr, width))
+            addr += width
+    return cfg, stream
+
+
+class TestFetchMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(fetch_streams())
+    # A straddle must leave the memo on the line it touched last: with one
+    # set, re-fetching the first line reorders the set before the third
+    # line evicts one of them.
+    @example((_TINY[1], [(62, 4), (60, 2), (128, 4), (0, 4)]))
+    def test_on_instr_matches_per_access_reference(self, case):
+        cfg, stream = case
+        memo, ref = TimingModel(cfg), TimingModel(cfg)
+        for addr, width in stream:
+            memo.on_instr(addr, width)
+            reference_fetch(ref, addr, width)
+        assert memo.cycles == ref.cycles
+        for name in ("icache", "itlb"):
+            got, want = getattr(memo, name), getattr(ref, name)
+            assert (got.hits, got.misses) == (want.hits, want.misses), name
+            assert got._sets == want._sets, name
+        assert memo.text_page_faults == ref.text_page_faults
+        assert memo.text_pages == ref.text_pages
