@@ -21,9 +21,30 @@ class BlockLiveness:
     live_out: Set[str] = field(default_factory=set)
 
 
-def block_liveness(mf: MachineFunction,
-                   track_physical: bool = False) -> Dict[str, BlockLiveness]:
-    """Iterative backwards dataflow over register names."""
+#: Per block, per instruction: ``(instr.uses(), instr.defs())``.
+DefUse = List[List[Tuple[Tuple[str, ...], Tuple[str, ...]]]]
+
+
+def function_def_use(mf: MachineFunction) -> DefUse:
+    """Def/use of every instruction of *mf*, computed once.
+
+    Liveness, interval construction and the allocator's rewrite all ask
+    the same question of the same instructions; they share this list.
+    """
+    return [[(instr.uses(), instr.defs()) for instr in blk.instrs]
+            for blk in mf.blocks]
+
+
+def block_liveness(mf: MachineFunction, track_physical: bool = False,
+                   def_use: Optional[DefUse] = None
+                   ) -> Dict[str, BlockLiveness]:
+    """Iterative backwards dataflow over register names.
+
+    *def_use* is :func:`function_def_use` of *mf*, computed here when not
+    given.
+    """
+    if def_use is None:
+        def_use = function_def_use(mf)
     info = {blk.label: BlockLiveness() for blk in mf.blocks}
     succs: Dict[str, List[str]] = {}
     for i, blk in enumerate(mf.blocks):
@@ -34,14 +55,14 @@ def block_liveness(mf: MachineFunction,
 
     gen: Dict[str, Set[str]] = {}
     kill: Dict[str, Set[str]] = {}
-    for blk in mf.blocks:
+    for blk, block_du in zip(mf.blocks, def_use):
         g: Set[str] = set()
         k: Set[str] = set()
-        for instr in blk.instrs:
-            for reg in instr.uses():
+        for uses, defs in block_du:
+            for reg in uses:
                 if _tracked(reg, track_physical) and reg not in k:
                     g.add(reg)
-            for reg in instr.defs():
+            for reg in defs:
                 if _tracked(reg, track_physical):
                     k.add(reg)
         gen[blk.label] = g
@@ -97,8 +118,16 @@ class LivenessResult:
     num_positions: int
 
 
-def compute_intervals(mf: MachineFunction) -> LivenessResult:
-    block_info = block_liveness(mf)
+def compute_intervals(mf: MachineFunction,
+                      def_use: Optional[DefUse] = None) -> LivenessResult:
+    """Live intervals of *mf*'s virtual registers.
+
+    *def_use* is :func:`function_def_use` of *mf*, computed here when not
+    given.
+    """
+    if def_use is None:
+        def_use = function_def_use(mf)
+    block_info = block_liveness(mf, def_use=def_use)
     position_of: Dict[Tuple[int, int], int] = {}
     pos = 0
     block_bounds: Dict[str, Tuple[int, int]] = {}
@@ -130,9 +159,10 @@ def compute_intervals(mf: MachineFunction) -> LivenessResult:
             p = position_of[(bi, ii)]
             if instr.is_call:
                 call_positions.append(p)
-            for reg in instr.uses():
+            uses, defs = def_use[bi][ii]
+            for reg in uses:
                 note(reg, p)
-            for reg in instr.defs():
+            for reg in defs:
                 note(reg, p + 1)
 
     # Extend intervals across blocks where the vreg is live-in/out.

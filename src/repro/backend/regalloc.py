@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import RegAllocError
-from repro.backend.liveness import Interval, compute_intervals
+from repro.backend.liveness import (DefUse, Interval, compute_intervals,
+                                    function_def_use)
 from repro.isa.instructions import MachineFunction, MachineInstr, Opcode
 from repro.isa.registers import is_virtual
 from repro.target import get_target
@@ -61,7 +62,8 @@ def allocate_function(mf: MachineFunction,
     spec = get_target(spec)
     cc = spec.cc
     gpr_pool, fpr_pool, gpr_cs_pool, fpr_cs_pool = _pools(cc)
-    liveness = compute_intervals(mf)
+    def_use = function_def_use(mf)
+    liveness = compute_intervals(mf, def_use)
     intervals = liveness.intervals
     phys_positions = {
         reg: sorted(set(positions))
@@ -106,7 +108,7 @@ def allocate_function(mf: MachineFunction,
         assignment[interval.reg] = chosen
         active.append(interval)
 
-    _rewrite(mf, assignment, spill_slots, cc)
+    _rewrite(mf, def_use, assignment, spill_slots, cc)
     used_cs = sorted(
         {reg for reg in assignment.values() if cc.is_callee_saved(reg)},
         key=_reg_sort_key,
@@ -121,14 +123,15 @@ def _reg_sort_key(reg: str) -> Tuple[int, int]:
     return (0 if reg.startswith("x") else 1, int(reg[1:]))
 
 
-def _rewrite(mf: MachineFunction, assignment: Dict[str, str],
-             spill_slots: Dict[str, int], cc: CallingConvention) -> None:
+def _rewrite(mf: MachineFunction, def_use: DefUse,
+             assignment: Dict[str, str], spill_slots: Dict[str, int],
+             cc: CallingConvention) -> None:
     """Substitute assignments and expand spill loads/stores via scratch."""
-    for blk in mf.blocks:
+    for blk, block_du in zip(mf.blocks, def_use):
         new_instrs: List[MachineInstr] = []
-        for instr in blk.instrs:
-            uses = [r for r in instr.uses() if is_virtual(r)]
-            defs = [r for r in instr.defs() if is_virtual(r)]
+        for instr, (all_uses, all_defs) in zip(blk.instrs, block_du):
+            uses = [r for r in all_uses if is_virtual(r)]
+            defs = [r for r in all_defs if is_virtual(r)]
             spilled_uses = [r for r in dict.fromkeys(uses)
                             if r in spill_slots]
             spilled_defs = [r for r in dict.fromkeys(defs)

@@ -150,6 +150,9 @@ class Opcode(Enum):
     BRK = "BRK"            # imm                     trap
     NOP = "NOP"
 
+    #: Set on every member below, from the tables (see ``OpcodeFacts``).
+    facts: "OpcodeFacts"
+
 
 # (def operand indices, use operand indices) for explicit operands.
 _DEF_USE: Dict[Opcode, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {
@@ -225,6 +228,62 @@ _STORES = {
 _LOADS.add(Opcode.LDRXpost)
 
 
+class OpcodeFacts:
+    """Operand roles and classification of one opcode, derived once.
+
+    Built at import from ``_DEF_USE`` and the opcode sets above (which stay
+    the single source of truth) and stored on the ``Opcode`` member as
+    ``opcode.facts``, so a query is an attribute read instead of hashing
+    an ``Enum`` into a set.
+    """
+
+    __slots__ = ("def_idx", "use_idx", "reg_idx", "implied_defs",
+                 "implied_uses", "flags")
+
+    def __init__(self, def_idx: Tuple[int, ...], use_idx: Tuple[int, ...],
+                 implied_defs: Tuple[str, ...], implied_uses: Tuple[str, ...],
+                 flags: int):
+        self.def_idx = def_idx
+        self.use_idx = use_idx
+        #: Every explicit register-operand index, defs and uses together.
+        self.reg_idx = tuple(sorted(set(def_idx) | set(use_idx)))
+        #: Registers the opcode writes / reads without naming them
+        #: (``nzcv`` for compares, ``lr`` for calls and ``RET``).
+        self.implied_defs = implied_defs
+        self.implied_uses = implied_uses
+        self.flags = flags
+
+
+#: ``OpcodeFacts.flags`` bits.
+IS_CALL = 1
+IS_TERMINATOR = 2
+IS_LOAD = 4
+IS_STORE = 8
+SETS_FLAGS = 16
+READS_FLAGS = 32
+
+
+def _derive_facts(op: Opcode) -> OpcodeFacts:
+    def_idx, use_idx = _DEF_USE[op]
+    flags = 0
+    for members, bit in ((_CALLS, IS_CALL), (_TERMINATORS, IS_TERMINATOR),
+                         (_LOADS, IS_LOAD), (_STORES, IS_STORE),
+                         (_SETS_FLAGS, SETS_FLAGS),
+                         (_READS_FLAGS, READS_FLAGS)):
+        if op in members:
+            flags |= bit
+    implied_defs = ((NZCV,) if flags & SETS_FLAGS else ()) \
+        + ((LR,) if flags & IS_CALL else ())
+    implied_uses = ((NZCV,) if flags & READS_FLAGS else ()) \
+        + ((LR,) if op is Opcode.RET else ())
+    return OpcodeFacts(def_idx, use_idx, implied_defs, implied_uses, flags)
+
+
+for _op in Opcode:
+    _op.facts = _derive_facts(_op)
+del _op
+
+
 @dataclass
 class MachineInstr:
     """A single fixed-width machine instruction.
@@ -233,6 +292,11 @@ class MachineInstr:
     conventions (argument registers used, return register defined) in the
     same way LLVM MIR annotates calls; they participate in liveness and in
     outlining pattern identity.
+
+    Instructions are immutable after construction: passes that change one
+    build a new instruction.  Derived facts (def/use, classification) come
+    from the opcode's ``facts`` entry and are never stored on the instance,
+    which keeps instances as small to pickle as their four fields.
     """
 
     opcode: Opcode
@@ -250,35 +314,36 @@ class MachineInstr:
 
     def defs(self) -> Tuple[str, ...]:
         """Registers (incl. nzcv) written by this instruction."""
-        idxs, _ = _DEF_USE[self.opcode]
-        out = [self.operands[i] for i in idxs if isinstance(self.operands[i], str)]
-        out.extend(self.implicit_defs)
-        if self.opcode in _SETS_FLAGS:
-            out.append(NZCV)
-        if self.opcode in _CALLS:
-            out.append(LR)
-        return tuple(r for r in out if r != XZR)
+        facts = self.opcode.facts
+        ops = self.operands
+        out = [ops[i] for i in facts.def_idx if isinstance(ops[i], str)]
+        out += self.implicit_defs
+        out += facts.implied_defs
+        if XZR in out:
+            return tuple([r for r in out if r != XZR])
+        return tuple(out)
 
     def uses(self) -> Tuple[str, ...]:
         """Registers (incl. nzcv) read by this instruction."""
-        _, idxs = _DEF_USE[self.opcode]
-        out = [self.operands[i] for i in idxs if isinstance(self.operands[i], str)]
-        out.extend(self.implicit_uses)
-        if self.opcode in _READS_FLAGS:
-            out.append(NZCV)
-        if self.opcode is Opcode.RET:
-            out.append(LR)
-        return tuple(r for r in out if r != XZR)
+        facts = self.opcode.facts
+        ops = self.operands
+        out = [ops[i] for i in facts.use_idx if isinstance(ops[i], str)]
+        out += self.implicit_uses
+        out += facts.implied_uses
+        if XZR in out:
+            return tuple([r for r in out if r != XZR])
+        return tuple(out)
 
     # -- predicates -------------------------------------------------------
 
     @property
     def is_call(self) -> bool:
-        return self.opcode in _CALLS
+        return (self.opcode.facts.flags & IS_CALL) != 0
 
     @property
     def is_terminator(self) -> bool:
-        return self.opcode in _TERMINATORS or self.is_tail_call
+        # A tail call is a ``B`` to a symbol, and ``B`` is a terminator.
+        return (self.opcode.facts.flags & IS_TERMINATOR) != 0
 
     @property
     def is_return(self) -> bool:
@@ -290,11 +355,11 @@ class MachineInstr:
 
     @property
     def is_load(self) -> bool:
-        return self.opcode in _LOADS
+        return (self.opcode.facts.flags & IS_LOAD) != 0
 
     @property
     def is_store(self) -> bool:
-        return self.opcode in _STORES
+        return (self.opcode.facts.flags & IS_STORE) != 0
 
     @property
     def is_branch_to_label(self) -> bool:
@@ -313,8 +378,8 @@ class MachineInstr:
         operands (e.g. a prologue ``STPXpre x29, x30, ...``), which make a
         sequence illegal to outline.
         """
-        explicit = [op for op in self.operands if isinstance(op, str)]
-        return LR in explicit
+        # Only a register name (a str) can compare equal to LR.
+        return LR in self.operands
 
     def branch_target(self) -> Optional[str]:
         """Name of the local label this instruction branches to, if any."""

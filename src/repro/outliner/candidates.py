@@ -41,9 +41,20 @@ def is_legal_to_outline(instr: MachineInstr) -> bool:
     # (the default class pushes LR), so SP-relative spill slots would read
     # the wrong frame.  LLVM permits some of these with offset fixups; we
     # take the conservative rule.
-    if instr.reads_sp() or instr.writes_sp():
-        return False
-    return True
+    return not _names_sp(instr)
+
+
+def _names_sp(instr: MachineInstr) -> bool:
+    """True if SP is among the instruction's defs or uses.
+
+    One walk over the register operands; the opcode's implied registers
+    (nzcv, lr) are never SP.
+    """
+    ops = instr.operands
+    for i in instr.opcode.facts.reg_idx:
+        if ops[i] == SP:
+            return True
+    return SP in instr.implicit_uses or SP in instr.implicit_defs
 
 
 @dataclass
@@ -132,7 +143,7 @@ class InstructionMapper:
 
 
 def sequence_uses_sp(instrs: Iterable[MachineInstr]) -> bool:
-    return any(SP in i.uses() or SP in i.defs() for i in instrs)
+    return any(_names_sp(i) for i in instrs)
 
 
 def sequence_calls(instrs: Sequence[MachineInstr]) -> List[int]:

@@ -33,6 +33,7 @@ from repro.isa.instructions import (
     Cond,
     Label,
     MachineFunction,
+    MachineInstr,
     MachineModule,
     Sym,
 )
@@ -174,11 +175,13 @@ def fold_module(module: MachineModule, mode: str = "exact",
                 for i, instr in enumerate(blk.instrs):
                     callee = instr.callee()
                     if callee in remap:
-                        instr.operands = tuple(
-                            Sym(remap[callee]) if (isinstance(op, Sym)
-                                                   and op.name == callee)
-                            else op
-                            for op in instr.operands)
+                        blk.instrs[i] = MachineInstr(
+                            instr.opcode,
+                            tuple(Sym(remap[callee])
+                                  if isinstance(op, Sym) and op.name == callee
+                                  else op
+                                  for op in instr.operands),
+                            instr.implicit_uses, instr.implicit_defs)
     return {"functions_folded": len(remap),
             "instrs_removed": removed_instrs,
             "refinement_iterations": iterations}

@@ -149,37 +149,8 @@ class SuffixTree:
         A substring is yielded once per internal node at depth in
         [min_len, max_len]; ``starts`` lists all its occurrences.
         """
-        n = len(self.seq)
-        # Iterative DFS carrying path depth; collect leaf suffix indices.
-        stack: List[Tuple[_Node, int, bool]] = [(self.root, 0, False)]
-        leaves_of: Dict[int, List[int]] = {}
-        order: List[Tuple[_Node, int]] = []
-        while stack:
-            node, depth, processed = stack.pop()
-            if processed:
-                order.append((node, depth))
-                continue
-            stack.append((node, depth, True))
-            for child in node.children.values():
-                stack.append((child, depth + self._edge_length(child), False))
-        # Post-order: accumulate leaf suffix starts upward.
-        for node, depth in order:
-            if not node.children:
-                # Leaf: suffix start = n - depth.
-                leaves_of[id(node)] = [n - depth]
-                continue
-            acc: List[int] = []
-            for child in node.children.values():
-                acc.extend(leaves_of.pop(id(child), ()))
-            leaves_of[id(node)] = acc
-            if node is self.root:
-                continue
-            if depth < min_len or depth > max_len:
-                continue
-            if len(acc) >= 2:
-                starts = [s for s in acc if s + depth <= n - 1]
-                if len(starts) >= 2:
-                    yield RepeatedSubstring(length=depth, starts=sorted(starts))
+        return self.live_repeated_substrings(b"\x01" * len(self.seq),
+                                             min_len, max_len)
 
     def live_repeated_substrings(
             self, live: Sequence[int], min_len: int = 2,
@@ -194,43 +165,55 @@ class SuffixTree:
         occurrences remain *and* they still branch right (>= 2 distinct
         following symbols) — dead occurrences may have been the only
         reason the node existed.
+
+        One depth-first walk numbers the leaves in visit order, so every
+        node's occurrences are a contiguous slice of that numbering.  Live
+        leaves are kept in ``starts_of``; each node in the depth window
+        records its slice bounds in both the live and the full numbering.
         """
-        n = len(self.seq)
         seq = self.seq
-        stack: List[Tuple[_Node, int, bool]] = [(self.root, 0, False)]
-        leaves_of: Dict[int, List[int]] = {}
-        order: List[Tuple[_Node, int]] = []
+        n = len(seq)  # where every leaf edge ends
+        starts_of: List[int] = []  # suffix start of each live leaf
+        leaves = 0  # leaves visited, live or dead
+        # (depth, live lo, all lo) on entry; live/all hi appended on exit.
+        spans: List[List[int]] = []
+        # (node, depth) to visit, or (None, span index) to close a span.
+        # The root and its leaf children lie in no span: start below them.
+        stack: List[Tuple[Optional[_Node], int]] = [
+            (child, child.end - child.start)
+            for child in self.root.children.values() if child.children]
         while stack:
-            node, depth, processed = stack.pop()
-            if processed:
-                order.append((node, depth))
+            node, depth = stack.pop()
+            if node is None:
+                span = spans[depth]
+                span.append(len(starts_of))
+                span.append(leaves)
                 continue
-            stack.append((node, depth, True))
-            for child in node.children.values():
-                stack.append((child, depth + self._edge_length(child), False))
-        for node, depth in order:
-            if not node.children:
-                leaves_of[id(node)] = [n - depth]
+            children = node.children
+            if not children:
+                start = n - depth
+                leaves += 1
+                if live[start]:
+                    starts_of.append(start)
                 continue
-            acc: List[int] = []
-            for child in node.children.values():
-                acc.extend(leaves_of.pop(id(child), ()))
-            leaves_of[id(node)] = acc
-            if node is self.root:
+            if min_len <= depth <= max_len:
+                stack.append((None, len(spans)))
+                spans.append([depth, len(starts_of), leaves])
+            for child in children.values():
+                end = child.end if child.end is not None else n
+                stack.append((child, depth + end - child.start))
+
+        for depth, lo, all_lo, hi, all_hi in spans:
+            if hi - lo < 2:
                 continue
-            if depth < min_len or depth > max_len:
-                continue
-            if len(acc) < 2:
-                continue
-            starts = [s for s in acc if s + depth <= n - 1 and live[s]]
-            if len(starts) < 2:
-                continue
-            if len(starts) < len(acc):
+            starts = starts_of[lo:hi]
+            if hi - lo < all_hi - all_lo:
                 # Dead occurrences may have carried the branching; an
                 # all-live node branches by construction.
                 if len({seq[s + depth] for s in starts}) < 2:
                     continue
-            yield RepeatedSubstring(length=depth, starts=sorted(starts))
+            starts.sort()
+            yield RepeatedSubstring(length=depth, starts=starts)
 
 
 def naive_repeated_substrings(seq: List[int], min_len: int = 2,

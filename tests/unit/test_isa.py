@@ -1,8 +1,21 @@
 """ISA model unit tests: registers, instruction metadata, encoding."""
 
+import pickle
+from dataclasses import fields
+from typing import Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa.instructions import (
+    _CALLS,
+    _DEF_USE,
+    _LOADS,
+    _READS_FLAGS,
+    _SETS_FLAGS,
+    _STORES,
+    _TERMINATORS,
+    NZCV,
     Cond,
     Label,
     MachineBlock,
@@ -16,6 +29,9 @@ from repro.isa.instructions import (
     mov_rr,
 )
 from repro.isa.registers import (
+    LR,
+    SP,
+    XZR,
     ALLOCATABLE_FPRS,
     ALLOCATABLE_GPRS,
     CALLEE_SAVED_GPRS,
@@ -27,6 +43,7 @@ from repro.isa.registers import (
     is_virtual,
     reg_class,
 )
+from repro.outliner.candidates import is_legal_to_outline, sequence_uses_sp
 
 
 class TestRegisters:
@@ -119,6 +136,129 @@ class TestMachineInstr:
         assert Cond.EQ.negate() is Cond.NE
         assert Cond.HS.negate() is Cond.LO
         assert Cond.LT.negate() is Cond.GE
+
+
+class _SetBasedInstr(MachineInstr):
+    """Reference: def/use and predicates as computed before the per-opcode
+    fact table, straight from ``_DEF_USE`` and the opcode sets."""
+
+    def defs(self) -> Tuple[str, ...]:
+        """Registers (incl. nzcv) written by this instruction."""
+        idxs, _ = _DEF_USE[self.opcode]
+        out = [self.operands[i] for i in idxs if isinstance(self.operands[i], str)]
+        out.extend(self.implicit_defs)
+        if self.opcode in _SETS_FLAGS:
+            out.append(NZCV)
+        if self.opcode in _CALLS:
+            out.append(LR)
+        return tuple(r for r in out if r != XZR)
+
+    def uses(self) -> Tuple[str, ...]:
+        """Registers (incl. nzcv) read by this instruction."""
+        _, idxs = _DEF_USE[self.opcode]
+        out = [self.operands[i] for i in idxs if isinstance(self.operands[i], str)]
+        out.extend(self.implicit_uses)
+        if self.opcode in _READS_FLAGS:
+            out.append(NZCV)
+        if self.opcode is Opcode.RET:
+            out.append(LR)
+        return tuple(r for r in out if r != XZR)
+
+    @property
+    def is_call(self) -> bool:
+        return self.opcode in _CALLS
+
+    @property
+    def is_terminator(self) -> bool:
+        return self.opcode in _TERMINATORS or self.is_tail_call
+
+    @property
+    def is_tail_call(self) -> bool:
+        return self.opcode is Opcode.B and self.operands and isinstance(self.operands[0], Sym)
+
+    @property
+    def is_load(self) -> bool:
+        return self.opcode in _LOADS
+
+    @property
+    def is_store(self) -> bool:
+        return self.opcode in _STORES
+
+    def reads_sp(self) -> bool:
+        return SP in self.uses()
+
+    def writes_sp(self) -> bool:
+        return SP in self.defs()
+
+    def touches_lr(self) -> bool:
+        explicit = [op for op in self.operands if isinstance(op, str)]
+        return LR in explicit
+
+
+def _set_based_is_legal_to_outline(instr: MachineInstr) -> bool:
+    if instr.opcode is Opcode.RET:
+        return True
+    if instr.is_terminator:
+        return False
+    if instr.touches_lr():
+        return False
+    if instr.reads_sp() or instr.writes_sp():
+        return False
+    return True
+
+
+_REGS = st.sampled_from(["v0", "v7", "fv3", "x0", "x19", "x29", "d8",
+                         XZR, SP, LR, NZCV])
+_OPERANDS = st.one_of(
+    _REGS,
+    st.builds(Sym, st.sampled_from(["f", "g"])),
+    st.builds(Label, st.sampled_from(["bb0", "bb1"])),
+    st.sampled_from(list(Cond)),
+    st.integers(min_value=-4096, max_value=4096),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+_IMPLICIT = st.lists(_REGS, max_size=3).map(tuple)
+
+
+def _arity(opcode: Opcode) -> int:
+    defs, uses = _DEF_USE[opcode]
+    return max(defs + uses, default=-1) + 1
+
+
+class TestOpcodeFacts:
+    """The per-opcode fact table answers exactly as the opcode sets do."""
+
+    @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda o: o.name)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_set_based_reference(self, opcode, data):
+        n = data.draw(st.integers(_arity(opcode), max(_arity(opcode), 4)))
+        operands = tuple(data.draw(_OPERANDS) for _ in range(n))
+        implicit_uses = data.draw(_IMPLICIT)
+        implicit_defs = data.draw(_IMPLICIT)
+        got = MachineInstr(opcode, operands, implicit_uses, implicit_defs)
+        want = _SetBasedInstr(opcode, operands, implicit_uses, implicit_defs)
+        assert got.defs() == want.defs()
+        assert got.uses() == want.uses()
+        for name in ("is_call", "is_terminator", "is_load", "is_store"):
+            assert getattr(got, name) is getattr(want, name), name
+        assert got.touches_lr() is want.touches_lr()
+        assert got.reads_sp() is want.reads_sp()
+        assert got.writes_sp() is want.writes_sp()
+        assert is_legal_to_outline(got) is \
+            _set_based_is_legal_to_outline(want)
+        assert sequence_uses_sp([got]) is \
+            (SP in want.uses() or SP in want.defs())
+
+    def test_queries_leave_no_state_on_the_instruction(self):
+        instr = MachineInstr(Opcode.BL, (Sym("f"),), ("x0", "x1"), ("x0",))
+        before = pickle.dumps(instr)
+        instr.defs(), instr.uses(), is_legal_to_outline(instr)
+        assert instr.is_call and not instr.is_store
+        assert set(vars(instr)) == {f.name for f in fields(MachineInstr)}
+        assert len(vars(instr)) == 4
+        assert pickle.dumps(instr) == before
 
 
 class TestContainers:

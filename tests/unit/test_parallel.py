@@ -4,6 +4,7 @@ for concurrent builds."""
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -31,6 +32,37 @@ def _run(chunks, *, plan=None, report=None, bias=0, workers=2, **kw):
 
 EXPECTED = [[1, 4], [9, 16], [25]]
 CHUNKS = [[1, 2], [3, 4], [5]]
+
+
+def _pid_gone(pid):
+    """True once *pid* has exited: no such process, or a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            # The state field follows the parenthesised command name.
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _assert_workers_dead(procs, timeout=10.0):
+    """Assert every process in *procs* exits within *timeout* seconds.
+
+    Watches the pid, not ``Process.exitcode``: when the executor's
+    management thread reaps a worker first, ``Popen.poll`` swallows the
+    ``ECHILD`` from ``waitpid`` and leaves ``returncode`` at None, so a
+    dead worker would read as still running.
+    """
+    pending = [proc.pid for proc in procs]
+    deadline = time.monotonic() + timeout
+    while pending and time.monotonic() < deadline:
+        pending = [pid for pid in pending if not _pid_gone(pid)]
+        if pending:
+            time.sleep(0.01)
+    assert pending == [], f"workers still running: {pending}"
 
 
 class TestResolveWorkers:
@@ -201,9 +233,7 @@ class TestPoolTeardown:
         with pytest.raises(WorkerCrashError):
             _run(CHUNKS, plan=plan, fail_fast=True)
         assert len(parallel._LIVE_POOLS) == 0
-        for proc in parallel.multiprocessing.active_children():
-            proc.join(timeout=10)
-        assert parallel.multiprocessing.active_children() == []
+        _assert_workers_dead(parallel.multiprocessing.active_children())
 
     def test_cancelled_scope_raises_before_any_fork(self):
         from repro.errors import JobCancelledError
@@ -223,9 +253,7 @@ class TestPoolTeardown:
         with pytest.raises(DeadlineExpiredError):
             _run(CHUNKS, cancel_scope=scope)
         assert len(parallel._LIVE_POOLS) == 0
-        for proc in parallel.multiprocessing.active_children():
-            proc.join(timeout=10)
-        assert parallel.multiprocessing.active_children() == []
+        _assert_workers_dead(parallel.multiprocessing.active_children())
 
     def test_teardown_pool_terminates_running_workers(self):
         import concurrent.futures
@@ -243,10 +271,8 @@ class TestPoolTeardown:
         parallel._LIVE_POOLS.add(pool)
         parallel._terminate_live_pools()  # the atexit sweep
         assert len(parallel._LIVE_POOLS) == 0
-        for proc in workers:
-            proc.join(timeout=10)
-            # Terminated, not still sleeping out its 60s task.
-            assert proc.exitcode is not None
+        # Terminated, not still sleeping out its 60s task.
+        _assert_workers_dead(workers)
 
     def test_workers_die_despite_inherited_sigterm_handler(self):
         """The CLI and the daemon install Python-level SIGTERM handlers,
@@ -276,9 +302,7 @@ class TestPoolTeardown:
             workers = list(pool._processes.values())
             assert workers
             parallel._teardown_pool(pool)
-            for proc in workers:
-                proc.join(timeout=10)
-                assert proc.exitcode is not None
+            _assert_workers_dead(workers)
         finally:
             signal.signal(signal.SIGTERM, previous)
 
