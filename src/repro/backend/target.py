@@ -21,9 +21,6 @@ from repro.errors import BackendError
 from repro.target import get_target
 from repro.target.spec import TargetSpec
 
-#: Deprecated: use ``TargetSpec.cc.max_reg_args``.
-MAX_REG_ARGS = 8
-
 
 def assign_arg_registers(arg_is_float: Tuple[bool, ...],
                          spec: Optional[TargetSpec] = None) -> List[str]:

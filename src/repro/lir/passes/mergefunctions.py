@@ -5,7 +5,9 @@ Canonicalises each function (local value numbering, block indices for
 labels, constants included verbatim) and keeps one representative per
 equivalence class, rewriting every direct call.  Functions whose address is
 taken (closure thunks) are kept: aliasing them would change function
-pointer identity.
+pointer identity.  So is every function of an *exported* module — one
+module of a separately compiled program, whose functions other modules may
+call by name: deleting one would leave them an undefined symbol.
 
 As the paper reports, exact-duplicate functions are rare in practice
 (< 1% size saving) — near-misses differ in a constant or a register.
@@ -111,11 +113,18 @@ def _address_taken(module: ir.LIRModule) -> set:
     return taken
 
 
-def run_on_module(module: ir.LIRModule) -> Dict[str, int]:
+def run_on_module(module: ir.LIRModule,
+                  exported: bool = False) -> Dict[str, int]:
+    """Alias duplicates away in *module*; returns the stats dict.
+
+    With *exported* no function may disappear, so nothing is aliased (the
+    optimistic merger can still fold such duplicates into priced thunks).
+    """
     taken = _address_taken(module)
     groups: Dict[Tuple, List[ir.LIRFunction]] = {}
     for fn in module.functions:
-        if fn.symbol == module.entry_symbol or fn.symbol in taken:
+        if (exported or fn.symbol == module.entry_symbol
+                or fn.symbol in taken):
             continue
         groups.setdefault(canonical_key(fn), []).append(fn)
 

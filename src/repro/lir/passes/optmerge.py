@@ -25,8 +25,8 @@ merges similar-but-not-identical functions without touching any caller:
    verify.
 
 Because thunks preserve the original symbols, address-taken functions
-(closure thunks) are mergeable here even though exact aliasing must skip
-them.  Throwing functions are safe too: the error register is
+(closure thunks) and the functions of an exported module are mergeable
+here even though exact aliasing must skip them.  Throwing functions are safe too: the error register is
 caller-saved, so a thunk's ``Call; Ret`` forwards the callee's error state
 to the original caller untouched.
 
@@ -107,8 +107,14 @@ def _fresh_symbol(existing: set, prefix: str, counter: int) -> Tuple[str, int]:
 
 
 def run_on_module(module: ir.LIRModule, target=None,
-                  symbol_prefix: str = "") -> Dict[str, int]:
-    """Merge similar functions in *module*; returns the stats dict."""
+                  symbol_prefix: str = "",
+                  exported: bool = False) -> Dict[str, int]:
+    """Merge similar functions in *module*; returns the stats dict.
+
+    *exported* is :func:`mergefunctions.run_on_module`'s flag: the module's
+    functions may be called from other modules, so phase 1 aliases none of
+    them away and phase 2 thunks identical bodies instead.
+    """
     from repro.target import get_target
 
     spec = get_target(target)
@@ -125,7 +131,7 @@ def run_on_module(module: ir.LIRModule, target=None,
     }
 
     # -- Phase 1: exact dedup (the conservative pass, shared canonical key).
-    exact = mergefunctions.run_on_module(module)
+    exact = mergefunctions.run_on_module(module, exported=exported)
     report["exact_merged"] = exact["functions_merged"]
     report["functions_merged"] += exact["functions_merged"]
     report["instrs_removed"] += exact["instrs_removed"]
@@ -199,7 +205,8 @@ def run_on_module(module: ir.LIRModule, target=None,
                 report["parameterized_merged"] += len(members)
             else:
                 # Identical bodies that exact aliasing had to skip
-                # (address-taken): keep the representative, thunk the rest.
+                # (address-taken or exported): keep the representative,
+                # thunk the rest.
                 thunks = [_make_thunk(fn, rep_fn.symbol, [])
                           for fn, _ in members[1:]]
                 new_cost = _compiled_cost([rep_fn] + thunks, spec)

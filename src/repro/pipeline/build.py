@@ -27,7 +27,7 @@ import pickle
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.backend.llc import LLCOptions, run_llc
+from repro.backend.llc import LLCOptions
 from repro.errors import ReproError
 from repro.frontend.parser import parse_module
 from repro.frontend.sema import ProgramInfo, analyze_program
@@ -141,13 +141,15 @@ def optimize_module(module: lir_ir.LIRModule) -> None:
 _MERGE_PASS_NAME = {"exact": "mergefunctions", "optimistic": "optmerge"}
 
 
-def _merge_passes(config: BuildConfig, per_module: bool = False):
+def _merge_passes(config: BuildConfig, prefix: str, exported: bool):
     """The ``merge_mode`` pass stage.
 
     Runs *after* the scalar cleanup passes: the optimistic merger prices
     candidates by compiling them, so it must see exactly the LIR that llc
-    will compile.  ``per_module`` namespaces merged-body symbols by module
-    (the default pipeline's llc does the same for outlined functions).
+    will compile.  Merged-body symbols take the partition's *prefix*, the
+    same namespace llc gives its outlined functions.  In an *exported*
+    partition (one module of several) other partitions may call any
+    function by name, so no function may be merged out of existence.
     """
     from repro.pipeline.config import MERGE_MODES
 
@@ -157,21 +159,25 @@ def _merge_passes(config: BuildConfig, per_module: bool = False):
     if config.merge_mode == "exact":
         from repro.lir.passes import mergefunctions
 
-        return [("mergefunctions", mergefunctions.run_on_module)]
+        def run(module: lir_ir.LIRModule):
+            return mergefunctions.run_on_module(module, exported=exported)
+
+        return [("mergefunctions", run)]
     if config.merge_mode == "optimistic":
         from repro.lir.passes import optmerge
 
         def run(module: lir_ir.LIRModule):
-            prefix = f"{module.name}::" if per_module else ""
             return optmerge.run_on_module(module, target=config.target,
-                                          symbol_prefix=prefix)
+                                          symbol_prefix=prefix,
+                                          exported=exported)
 
         return [("optmerge", run)]
     return []
 
 
 def _wholeprogram_passes(config: BuildConfig):
-    """The merged-IR -Osize sequence (order matters; see Figure 10)."""
+    """The merged-IR -Osize sequence (order matters; see Figure 10); the
+    merge stage follows it."""
     from repro.lir.passes import constprop, dce, globaldce, simplifycfg
 
     passes = []
@@ -196,7 +202,6 @@ def _wholeprogram_passes(config: BuildConfig):
         ("dce", dce.run_on_module),
         ("simplifycfg", simplifycfg.run_on_module),
     ])
-    passes.extend(_merge_passes(config))
     return passes
 
 
@@ -262,6 +267,43 @@ def _strip_stage(result: "BuildResult", config: BuildConfig,
         metrics.set_gauge("strip.modules_touched", len(stats.per_module))
 
 
+def _partition(lir_modules: List[lir_ir.LIRModule], config: BuildConfig,
+               report: BuildReport):
+    """What llc sees: the one step where the two pipeline shapes differ.
+
+    Returns ``(jobs, passes, per_module)``: ``jobs`` pairs each partition's
+    LIR module with its :class:`LLCOptions`, ``passes`` runs on each
+    partition ahead of the merge stage, and ``per_module`` says the
+    partitions are the input modules (so per-module llc cache keys apply).
+    """
+    if config.pipeline == "wholeprogram":
+        # Figure 10: llvm-link everything into one partition.
+        with report.phase("llvm-link"):
+            merged = link_modules(
+                lir_modules,
+                LinkOptions(gc_metadata_mode=config.gc_metadata_mode,
+                            data_layout=config.data_layout))
+        return ([(merged, _llc_options(config, ""))],
+                _wholeprogram_passes(config), False)
+    if config.pipeline == "default":
+        # Figure 2: each module alone; outlined and merged symbols are
+        # namespaced by module so the system linker sees no clashes.
+        passes = []
+        if config.enable_inliner:
+            from repro.lir.passes import inliner
+
+            passes.append(("inliner", inliner.run_on_module))
+        return ([(module, _llc_options(config, f"{module.name}::"))
+                 for module in lir_modules], passes, True)
+    raise ReproError(f"unknown pipeline {config.pipeline!r}")
+
+
+def _llc_options(config: BuildConfig, prefix: str) -> LLCOptions:
+    return LLCOptions(outline_rounds=config.outline_rounds,
+                      collect_stats=config.collect_outline_stats,
+                      outlined_name_prefix=prefix, target=config.target)
+
+
 def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                       config: BuildConfig,
                       registry: Optional[TypeRegistry] = None,
@@ -271,11 +313,13 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                       cache: Optional[ModuleCache] = None) -> BuildResult:
     """Lower already-optimized LIR modules to a linked binary.
 
-    With ``module_keys``/``cache`` (the incremental build path), the
-    default pipeline also caches each module's *machine code* under
-    :func:`repro.pipeline.cache.llc_key`, so modules whose LIR key and
-    llc-relevant config are unchanged skip inlining/merging/llc entirely
-    and only re-link.
+    Both pipeline shapes run one path over llc partitions (see
+    :func:`_partition`): opt on each partition, llc on all of them, then
+    strip and link.  With ``module_keys``/``cache`` (the incremental build
+    path) and one partition per module, each partition's machine code and
+    pass reports are cached under :func:`repro.pipeline.cache.llc_key`, so
+    modules whose LIR key and llc-relevant config are unchanged skip
+    opt and llc entirely and only re-link.
     """
     registry = registry or (TypeRegistry.from_program(program) if program
                             else TypeRegistry())
@@ -292,105 +336,66 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                          registry=registry, config=config,
                          machine_modules=[], report=report)
     checkpoint(config.cancel_scope, "backend start")
-    if config.pipeline == "wholeprogram":
-        with report.phase("llvm-link"):
-            merged = link_modules(
-                lir_modules,
-                LinkOptions(gc_metadata_mode=config.gc_metadata_mode,
-                            data_layout=config.data_layout))
-        with report.phase("opt"):
-            # Whole-program opt over the merged IR, with per-pass spans
-            # and instruction/function deltas recorded by the manager.
-            reports = PassManager(_wholeprogram_passes(config),
-                                  scope="wholeprogram").run(merged)
-            for name in ("inliner", "mergefunctions", "fmsa", "optmerge"):
-                if name in reports:
-                    result.pass_reports[name] = reports[name]
-            _note_merge_stats(result, config, report)
-        result.phase_work["llvm-link"] = merged.num_instrs
-        result.phase_work["opt"] = merged.num_instrs
-        # llc lowers the pre-outlining program; record its work before the
-        # outliner shrinks it (the build-time model depends on this).
-        result.phase_work["llc"] = merged.num_instrs
-        checkpoint(config.cancel_scope, "llc")
-        with report.phase("llc"):
-            llc_out = run_llc(merged, LLCOptions(
-                outline_rounds=config.outline_rounds,
-                collect_stats=config.collect_outline_stats,
-                target=config.target))
-        result.machine_modules = [llc_out.module]
-        result.outline_stats = llc_out.outline_stats
-    elif config.pipeline == "default":
-        n = len(lir_modules)
-        llc_keys: Optional[List[str]] = None
-        llc_hits: Dict[int, object] = {}
-        if (cache is not None and module_keys is not None
-                and config.incremental_llc and len(module_keys) == n):
-            llc_fp = config.llc_fingerprint()
-            llc_keys = [cache_mod.llc_key(mk, llc_fp) for mk in module_keys]
-            with report.phase("llc-cache-probe"):
-                for i, key in enumerate(llc_keys):
-                    llc_entry = cache.load(key)
-                    if _valid_llc_entry(llc_entry):
-                        llc_hits[i] = llc_entry["llc_out"]
-            report.llc_cache_hits = len(llc_hits)
-            report.llc_cache_misses = n - len(llc_hits)
-        missed = [i for i in range(n) if i not in llc_hits]
-        miss_modules = [lir_modules[i] for i in missed]
-        merge_stack = _merge_passes(config, per_module=True)
-        if (config.enable_inliner or merge_stack) and miss_modules:
-            with report.phase("opt"):
-                if config.enable_inliner:
-                    from repro.lir.passes import inliner
+    jobs, passes, per_module = _partition(lir_modules, config, report)
 
-                    for module in miss_modules:
-                        inliner.run_on_module(module)
-                for name, _ in merge_stack:
-                    result.pass_reports.setdefault(name, {})
-                for module in miss_modules:
-                    # Merging is per-module here (mirroring per-module llc);
-                    # the manager still records spans and deltas per run.
-                    reports = PassManager(merge_stack,
-                                          scope="module").run(module)
-                    for name, pass_report in reports.items():
-                        agg = result.pass_reports[name]
-                        for key, value in dict(pass_report).items():
-                            agg[key] = agg.get(key, 0) + value
-                _note_merge_stats(result, config, report)
-        checkpoint(config.cancel_scope, "llc")
-        with report.phase("llc"):
-            workers = parallel.resolve_workers(config.workers)
-            outputs = parallel.llc_modules(
-                miss_modules, config.outline_rounds,
-                config.collect_outline_stats, workers,
-                plan=config.fault_plan, report=report,
-                chunk_timeout=config.chunk_timeout,
-                max_retries=config.max_chunk_retries,
-                retry_backoff=config.retry_backoff,
-                fail_fast=config.fail_fast,
-                target=config.target,
-                cancel_scope=config.cancel_scope,
-                persistent=config.persistent_workers)
-            if outputs is None:  # workers <= 1: the serial path by design
-                outputs = [run_llc(module, LLCOptions(
-                    outline_rounds=config.outline_rounds,
-                    collect_stats=config.collect_outline_stats,
-                    outlined_name_prefix=f"{module.name}::",
-                    target=config.target))
-                    for module in miss_modules]
+    # Per partition: its llc output and the pass reports it contributes,
+    # in the shape of an llc cache entry.
+    done: Dict[int, dict] = {}
+    llc_keys: Optional[List[str]] = None
+    if (per_module and cache is not None and module_keys is not None
+            and config.incremental_llc and len(module_keys) == len(jobs)):
+        llc_fp = config.llc_fingerprint()
+        llc_keys = [cache_mod.llc_key(mk, llc_fp) for mk in module_keys]
+        with report.phase("llc-cache-probe"):
+            for i, key in enumerate(llc_keys):
+                llc_entry = cache.load(key)
+                if _valid_llc_entry(llc_entry):
+                    done[i] = llc_entry  # type: ignore[assignment]
+        report.llc_cache_hits = len(done)
+        report.llc_cache_misses = len(jobs) - len(done)
+    missed = [i for i in range(len(jobs)) if i not in done]
+
+    stacks = {i: passes + _merge_passes(config,
+                                        jobs[i][1].outlined_name_prefix,
+                                        exported=per_module)
+              for i in missed}
+    kept: Dict[int, Dict[str, dict]] = {}
+    if any(stacks.values()):
+        with report.phase("opt"):
+            scope = "module" if per_module else "wholeprogram"
+            for i in missed:
+                reports = PassManager(stacks[i], scope=scope).run(jobs[i][0])
+                kept[i] = {name: reports[name] for name in (
+                    "inliner", "mergefunctions", "fmsa", "optmerge")
+                    if name in reports}
+    # llc phi-eliminates its input in place: count the LIR it is handed now.
+    lir_instrs = sum(jobs[i][0].num_instrs for i in missed)
+
+    checkpoint(config.cancel_scope, "llc")
+    with report.phase("llc"):
+        outputs = parallel.llc_modules([jobs[i] for i in missed], config,
+                                       report)
+        for i, llc_out in zip(missed, outputs):
+            done[i] = {"llc_out": llc_out, "pass_reports": kept.get(i, {})}
             if llc_keys is not None:
-                for j, i in enumerate(missed):
-                    cache.store(llc_keys[i], {"llc_out": outputs[j]})
-            by_index = dict(zip(missed, outputs))
-            by_index.update(llc_hits)
-            for i in range(n):
-                llc_out = by_index[i]
-                result.machine_modules.append(llc_out.module)
-                result.outline_stats.extend(llc_out.outline_stats)
+                cache.store(llc_keys[i], done[i])  # type: ignore[union-attr]
+        for i in range(len(jobs)):
+            llc_out = done[i]["llc_out"]
+            result.machine_modules.append(llc_out.module)
+            result.outline_stats.extend(llc_out.outline_stats)
+            for name, stats in done[i]["pass_reports"].items():
+                total = result.pass_reports.setdefault(name, {})
+                for key, value in stats.items():
+                    total[key] = total.get(key, 0) + value
+    _note_merge_stats(result, config, report)
+    # The build-time model's work units (DESIGN.md §17 says why the two
+    # shapes count different things).
+    if per_module:
         result.phase_work["llc"] = sum(
             m.num_instrs for m in result.machine_modules)
     else:
-        raise ReproError(f"unknown pipeline {config.pipeline!r}")
+        result.phase_work.update(
+            dict.fromkeys(("llvm-link", "opt", "llc"), lir_instrs))
     checkpoint(config.cancel_scope, "link")
     _strip_stage(result, config, report, entry)
     layout_profile = None
@@ -620,24 +625,8 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
     partial = [name for name in misses if name in fn_hits]
 
     with report.phase("lower"):
-        workers = parallel.resolve_workers(config.workers)
-        lowered = None
-        if workers > 1 and len(full_misses) > 1:
-            lowered = parallel.lower_modules(
-                sil_by_name, signatures, full_misses, workers,
-                plan=config.fault_plan, report=report,
-                chunk_timeout=config.chunk_timeout,
-                max_retries=config.max_chunk_retries,
-                retry_backoff=config.retry_backoff,
-                fail_fast=config.fail_fast,
-                cancel_scope=config.cancel_scope,
-                persistent=config.persistent_workers)
-        if lowered is None:
-            lowered = {}
-            for name in full_misses:
-                module = ModuleIRGen(sil_by_name[name], signatures).run()
-                optimize_module(module)
-                lowered[name] = module
+        lowered = parallel.lower_modules(sil_by_name, signatures,
+                                         full_misses, config, report)
         recompiled = sum(len(sil_by_name[name].functions)
                          for name in full_misses)
         for name in partial:
@@ -681,7 +670,8 @@ def _valid_llc_entry(entry: object) -> bool:
     from repro.backend.llc import LLCResult
 
     return (isinstance(entry, dict)
-            and isinstance(entry.get("llc_out"), LLCResult))
+            and isinstance(entry.get("llc_out"), LLCResult)
+            and isinstance(entry.get("pass_reports"), dict))
 
 
 def _valid_image_entry(entry: object) -> bool:
@@ -710,8 +700,7 @@ def build_program(sources: SourceModules,
                   config: Optional[BuildConfig] = None) -> BuildResult:
     """Full build: Swiftlet sources -> linked binary image."""
     config = config or BuildConfig()
-    items = (list(sources.items()) if isinstance(sources, dict)
-             else [(name, text) for name, text in sources])
+    items = _items(sources)
     with obs_trace.span("build", kind="build", pipeline=config.pipeline,
                         num_modules=len(items),
                         outline_rounds=config.outline_rounds,

@@ -48,6 +48,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro.errors import CacheCorruptionError
 from repro.frontend import ast
+from repro.pipeline.config import env_default
 from repro.pipeline.faults import FaultPlan
 
 #: Bump whenever codegen output can change (invalidates every entry).
@@ -59,7 +60,10 @@ from repro.pipeline.faults import FaultPlan
 #: "4": the image entry carries class layouts and sheds its machine
 #: listing into an "imgmm" sidecar, so an image hit deserializes only
 #: the linked image.
-PIPELINE_CACHE_VERSION = "4"
+#: "5": per-module machine-code entries carry the partition's pass
+#: reports, so an llc-cache hit still counts towards the build's merge
+#: statistics.
+PIPELINE_CACHE_VERSION = "5"
 
 
 def fingerprint_source(text: str) -> str:
@@ -221,10 +225,8 @@ def llc_key(module_key: str, llc_fingerprint: str) -> str:
 
 
 def default_cache_dir() -> str:
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(tempfile.gettempdir(), "repro-pipeline-cache")
+    return (env_default("REPRO_CACHE_DIR")
+            or os.path.join(tempfile.gettempdir(), "repro-pipeline-cache"))
 
 
 @dataclass

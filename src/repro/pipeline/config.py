@@ -16,11 +16,11 @@ Variable             BuildConfig field        Meaning
 ``REPRO_CACHE_DIR``  ``cache_dir``            Build-cache directory.
 ===================  =======================  ===============================
 
-The legacy readers (:func:`default_merge_mode`,
-:func:`~repro.target.default_target_name`, and the cache-dir fallback in
-:mod:`repro.pipeline.cache`) are kept as deprecation shims; new code
-should go through :func:`env_default` so the table above stays the single
-source of truth.
+Every reader goes through :func:`env_default`, so the table above stays
+the single source of truth.  The one exception is
+:func:`~repro.target.default_target_name`, which reads ``REPRO_TARGET``
+itself: :mod:`repro.target` sits below this module (``BuildConfig``
+imports it), so it cannot import :func:`env_default` without a cycle.
 
 Precedence
 ----------
@@ -71,12 +71,6 @@ def env_default(var: str) -> Optional[str]:
     return value or None
 
 
-def default_merge_mode() -> str:
-    """The default merge mode, honouring ``REPRO_MERGE`` if set (the CI
-    matrix axis, mirroring ``REPRO_TARGET``)."""
-    return env_default("REPRO_MERGE") or "off"
-
-
 @dataclass
 class BuildConfig:
     """Options shared by the default and whole-program pipelines.
@@ -112,7 +106,8 @@ class BuildConfig:
     #: :mod:`repro.lir.passes.optmerge`).  Runs *after* the scalar cleanup
     #: passes so the merger prices exactly the LIR that llc compiles.
     #: Defaults to ``$REPRO_MERGE`` or "off".
-    merge_mode: str = field(default_factory=default_merge_mode)
+    merge_mode: str = field(
+        default_factory=lambda: env_default("REPRO_MERGE") or "off")
     #: Strip functions unreachable from the entry point (app builds).
     #: Runs as an early LIR pass over the merged IR (whole-program
     #: pipeline only); see ``strip`` for the link-time machine-level

@@ -3,7 +3,10 @@
 Swiftlet sema is whole-program (type ids and closure symbols are numbered
 across modules), so the unit of parallelism is the *per-module lowering*
 that follows it: SIL -> LIR -> -Osize cleanups in the frontend, and
-per-module ``llc`` in the default (Figure 2) pipeline.
+``llc`` over the backend's partitions (one per module in the default,
+Figure 2, pipeline).  :func:`lower_modules` and :func:`llc_modules` own
+their serial path too: with one worker, or fewer than two jobs, they run
+the same chunk function in this process.
 
 Large read-only inputs (the SIL modules, the signature table, the LIR
 modules) are handed to workers through a module-level registry populated
@@ -47,6 +50,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.trace import Span, Tracer
 from repro.pipeline.cancel import CancelScope, checkpoint, clamp_timeout
+from repro.pipeline.config import BuildConfig
 from repro.pipeline.faults import FaultPlan
 from repro.pipeline.report import BuildReport
 
@@ -245,21 +249,10 @@ def _lower_chunk(payload: Dict[str, object],
 
 def _llc_chunk(payload: Dict[str, object],
                indices: Sequence[int]) -> List[Tuple[int, object]]:
-    from repro.backend.llc import LLCOptions, run_llc
+    from repro.backend.llc import run_llc
 
-    lir_modules = payload["lir_modules"]
-    rounds = payload["outline_rounds"]
-    collect = payload["collect_stats"]
-    target = payload.get("target")
-    out = []
-    for i in indices:
-        module = lir_modules[i]
-        llc_out = run_llc(module, LLCOptions(
-            outline_rounds=rounds, collect_stats=collect,
-            outlined_name_prefix=f"{module.name}::",
-            target=target))
-        out.append((i, llc_out))
-    return out
+    jobs = payload["jobs"]
+    return [(i, run_llc(*jobs[i])) for i in indices]
 
 
 _CHUNK_FUNCS = {"lower": _lower_chunk, "llc": _llc_chunk}
@@ -575,92 +568,72 @@ def _signature_stubs(signatures: Dict[str, object]) -> Dict[str, object]:
             for symbol, fn in signatures.items()}
 
 
+def _ladder(config: BuildConfig) -> Dict[str, object]:
+    """The :func:`run_chunks` robustness knobs a ``BuildConfig`` sets."""
+    return {"plan": config.fault_plan,
+            "chunk_timeout": config.chunk_timeout,
+            "max_retries": config.max_chunk_retries,
+            "retry_backoff": config.retry_backoff,
+            "fail_fast": config.fail_fast,
+            "cancel_scope": config.cancel_scope,
+            "persistent": config.persistent_workers}
+
+
 def lower_modules(sil_by_name: Dict[str, object],
                   signatures: Dict[str, object],
-                  names: Sequence[str], workers: int, *,
-                  plan: Optional[FaultPlan] = None,
-                  report: Optional[BuildReport] = None,
-                  chunk_timeout: Optional[float] = None,
-                  max_retries: int = 2,
-                  retry_backoff: float = 0.05,
-                  fail_fast: bool = False,
-                  cancel_scope: Optional[CancelScope] = None,
-                  persistent: bool = False,
-                  ) -> Optional[Dict[str, object]]:
-    """Lower ``names`` to optimized LIR across ``workers`` processes.
+                  names: Sequence[str], config: BuildConfig,
+                  report: Optional[BuildReport] = None) -> Dict[str, object]:
+    """Lower ``names`` to optimized LIR; returns name -> LIRModule.
 
-    Returns name -> LIRModule, or None when the request is inherently
-    serial (``workers <= 1``) and the caller's serial path should run.
+    Fans out across ``config.workers`` processes, or runs in this process
+    when there are fewer than two workers or modules.
     """
-    if workers <= 1:
-        return None
-    payload = {"sil_by_name": dict(sil_by_name),
-               "signatures": dict(signatures)}
+    payload = {"sil_by_name": sil_by_name, "signatures": signatures}
+    workers = resolve_workers(config.workers)
+    if workers <= 1 or len(names) < 2:
+        return dict(_lower_chunk(payload, names))
     chunks = _round_robin(list(names), workers)
     chunk_payloads = None
-    if persistent:
+    if config.persistent_workers:
         stubs = _signature_stubs(signatures)
         chunk_payloads = [{"sil_by_name": {n: sil_by_name[n] for n in chunk},
                            "signatures": stubs}
                           for chunk in chunks]
-    results = run_chunks("lower", payload, chunks, workers, plan=plan,
-                         report=report, phase="lower",
-                         chunk_timeout=chunk_timeout,
-                         max_retries=max_retries,
-                         retry_backoff=retry_backoff,
-                         fail_fast=fail_fast,
-                         cancel_scope=cancel_scope,
-                         persistent=persistent,
-                         chunk_payloads=chunk_payloads)
-    lowered: Dict[str, object] = {}
-    for chunk_result in results:
-        for name, module in chunk_result:
-            lowered[name] = module
-    return lowered
+    results = run_chunks("lower", payload, chunks, workers, report=report,
+                         phase="lower", chunk_payloads=chunk_payloads,
+                         **_ladder(config))
+    return {name: module for chunk_result in results
+            for name, module in chunk_result}
 
 
-# --- backend: per-module llc (default pipeline) ------------------------------
+# --- backend: llc over partitions --------------------------------------------
 
 
-def llc_modules(lir_modules: Sequence[object], outline_rounds: int,
-                collect_stats: bool, workers: int, *,
-                plan: Optional[FaultPlan] = None,
-                report: Optional[BuildReport] = None,
-                chunk_timeout: Optional[float] = None,
-                max_retries: int = 2,
-                retry_backoff: float = 0.05,
-                fail_fast: bool = False,
-                target: Optional[str] = None,
-                cancel_scope: Optional[CancelScope] = None,
-                persistent: bool = False,
-                ) -> Optional[List[object]]:
-    """Run per-module llc in parallel; returns outputs in module order."""
-    if workers <= 1 or len(lir_modules) <= 1:
-        return None
-    payload = {"lir_modules": list(lir_modules),
-               "outline_rounds": outline_rounds,
-               "collect_stats": collect_stats,
-               "target": target}
-    chunks = _round_robin(list(range(len(lir_modules))), workers)
+def llc_modules(jobs: Sequence[Tuple[object, object]],
+                config: BuildConfig,
+                report: Optional[BuildReport] = None) -> List[object]:
+    """Run llc on each ``(LIRModule, LLCOptions)`` job; returns the
+    outputs in job order.
+
+    Fans out across ``config.workers`` processes, or runs in this process
+    when there are fewer than two workers or jobs.
+    """
+    payload = {"jobs": list(jobs)}
+    indices = list(range(len(jobs)))
+    workers = resolve_workers(config.workers)
+    if workers <= 1 or len(jobs) < 2:
+        return [llc_out for _, llc_out in _llc_chunk(payload, indices)]
+    chunks = _round_robin(indices, workers)
     chunk_payloads = None
-    if persistent:
-        # The chunk function indexes ``lir_modules`` by module number, so
-        # a dict carrying just this chunk's modules is a drop-in.
-        chunk_payloads = [{"lir_modules": {i: lir_modules[i] for i in chunk},
-                           "outline_rounds": outline_rounds,
-                           "collect_stats": collect_stats,
-                           "target": target}
+    if config.persistent_workers:
+        # The chunk function indexes ``jobs`` by job number, so a dict
+        # carrying just this chunk's jobs is a drop-in.
+        chunk_payloads = [{"jobs": {i: jobs[i] for i in chunk}}
                           for chunk in chunks]
-    results = run_chunks("llc", payload, chunks, workers, plan=plan,
-                         report=report, phase="llc",
-                         chunk_timeout=chunk_timeout,
-                         max_retries=max_retries,
-                         retry_backoff=retry_backoff,
-                         fail_fast=fail_fast,
-                         cancel_scope=cancel_scope,
-                         persistent=persistent,
-                         chunk_payloads=chunk_payloads)
-    ordered: List[object] = [None] * len(lir_modules)
+    results = run_chunks("llc", payload, chunks, workers, report=report,
+                         phase="llc", chunk_payloads=chunk_payloads,
+                         **_ladder(config))
+    ordered: List[object] = [None] * len(jobs)
     for chunk_result in results:
         for i, llc_out in chunk_result:
             ordered[i] = llc_out

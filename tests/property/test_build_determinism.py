@@ -63,48 +63,52 @@ def swiftlet_program(draw):
 
 
 def _fingerprint(result):
+    """Everything a build reports about its output: image bytes, outlining
+    statistics, pass reports, merge statistics and the phase work the
+    build-time model reads."""
     return (result.image.text_section(), result.image.data_section(),
             [(s.round_no, s.sequences_outlined, s.functions_created,
-              s.bytes_saved) for s in result.outline_stats])
+              s.bytes_saved) for s in result.outline_stats],
+            result.pass_reports, result.report.merge_stats,
+            result.phase_work)
 
 
 @st.composite
 def _case(draw):
     return (draw(swiftlet_program()),
             draw(st.sampled_from(["wholeprogram", "default"])),
-            draw(st.integers(min_value=0, max_value=2)))
+            draw(st.integers(min_value=0, max_value=2)),
+            draw(st.sampled_from(["off", "exact", "optimistic"])))
 
 
 @settings(max_examples=12, deadline=None)
 @given(_case())
 def test_builds_identical_across_workers_and_cache(case):
-    sources, pipeline, rounds = case
+    sources, pipeline, rounds, merge_mode = case
     cache_dir = tempfile.mkdtemp(prefix="repro-det-")
     try:
-        base = BuildConfig(pipeline=pipeline, outline_rounds=rounds)
-        serial = build_program(sources, base)
+        def config(**kw):
+            return BuildConfig(pipeline=pipeline, outline_rounds=rounds,
+                               merge_mode=merge_mode, **kw)
+
+        serial = build_program(sources, config())
         reference = _fingerprint(serial)
 
-        parallel = build_program(
-            sources, BuildConfig(pipeline=pipeline, outline_rounds=rounds,
-                                 workers=4))
+        parallel = build_program(sources, config(workers=4))
         assert _fingerprint(parallel) == reference
 
         cold = build_program(
-            sources, BuildConfig(pipeline=pipeline, outline_rounds=rounds,
-                                 incremental=True, cache_dir=cache_dir))
+            sources, config(incremental=True, cache_dir=cache_dir))
         assert _fingerprint(cold) == reference
 
         warm = build_program(
-            sources, BuildConfig(pipeline=pipeline, outline_rounds=rounds,
-                                 incremental=True, cache_dir=cache_dir))
+            sources, config(incremental=True, cache_dir=cache_dir))
         assert warm.report.image_cache_hit
         assert _fingerprint(warm) == reference
 
         warm_parallel = build_program(
-            sources, BuildConfig(pipeline=pipeline, outline_rounds=rounds,
-                                 incremental=True, cache_dir=cache_dir,
-                                 workers=4))
+            sources, config(incremental=True, cache_dir=cache_dir,
+                            workers=4))
         assert _fingerprint(warm_parallel) == reference
 
         outputs = {run_build(build).output[0]

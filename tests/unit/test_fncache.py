@@ -113,6 +113,35 @@ class TestSingleFunctionEdit:
                                                  outline_rounds=1))
         assert warm.image.text_section() == cold.image.text_section()
 
+    @pytest.mark.parametrize("merge_mode", ["exact", "optimistic"])
+    def test_edit_reports_cold_merge_stats(self, tmp_path, merge_mode):
+        # Modules served from the llc cache still count towards the
+        # build's merge statistics: after a one-function edit that misses
+        # one module, the incremental build, the image-cache hit that
+        # replays it, and a cold build of the same sources agree.
+        spec = AppSpec(seed=11, base_features=4, num_vendors=2)
+        sources = generate_app(spec)
+        module = sorted(sources)[0]
+        func = sorted(function_fingerprints(spec)[module])[0]
+        edited = dict(sources)
+        edited[module] = edit_function(sources[module], func)
+
+        config = _config(tmp_path, merge_mode=merge_mode)
+        build_program(sources, config)       # prime the cache
+        incremental = build_program(edited, config)
+        assert incremental.report.llc_cache_hits == len(sources) - 1
+        assert incremental.report.llc_cache_misses == 1
+        warm = build_program(edited, config)
+        assert warm.report.image_cache_hit
+        cold = build_program(edited, BuildConfig(
+            pipeline="default", outline_rounds=1, merge_mode=merge_mode))
+
+        assert incremental.image.text_section() == cold.image.text_section()
+        assert cold.report.merge_stats
+        for build in (incremental, warm):
+            assert build.report.merge_stats == cold.report.merge_stats
+            assert build.pass_reports == cold.pass_reports
+
 
 class TestImageSidecar:
     def test_noop_rebuild_hits_image_without_module_loads(self, tmp_path):

@@ -73,6 +73,15 @@ class TestMergeFunctions:
         mergefunctions.run_on_module(module)
         assert any(fn.symbol == "a" for fn in module.functions)
 
+    def test_exported_module_keeps_every_symbol(self):
+        # Another module may call "b" by name: aliasing it away would
+        # leave that caller with an undefined symbol at link time.
+        module = ir.LIRModule(name="m")
+        module.functions = [make_adder("a", 5), make_adder("b", 5)]
+        report = mergefunctions.run_on_module(module, exported=True)
+        assert report["functions_merged"] == 0
+        assert {fn.symbol for fn in module.functions} == {"a", "b"}
+
 
 class TestFMSA:
     def test_const_divergent_functions_merged(self):
@@ -284,5 +293,16 @@ class TestOptMerge:
         assert report["functions_merged"] == 1
         assert report["thunks_created"] == 1
         # Both symbols survive (pointer identity intact); one is a thunk.
+        assert module.function("a").num_instrs > 2
+        assert module.function("b").num_instrs == 2
+
+    def test_exported_identical_bodies_become_thunks(self):
+        module = ir.LIRModule(name="m")
+        module.functions = [make_bigfn("a", 5), make_bigfn("b", 5)]
+        report = optmerge.run_on_module(module, target="arm64",
+                                        exported=True)
+        assert report["exact_merged"] == 0
+        assert report["functions_merged"] == 1
+        assert report["thunks_created"] == 1
         assert module.function("a").num_instrs > 2
         assert module.function("b").num_instrs == 2

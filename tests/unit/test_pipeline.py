@@ -56,6 +56,22 @@ class TestBuildProgram:
         result = build_program(sources, BuildConfig(pipeline="default"))
         assert len(result.machine_modules) == 2
 
+    @pytest.mark.parametrize("merge_mode", ["exact", "optimistic"])
+    def test_default_pipeline_merge_keeps_imported_symbols(self, merge_mode):
+        # Each module is merged alone: a duplicate that another module
+        # calls must still be defined when the modules are linked.
+        body = "{ var t = x * 3 + 10\n for i in 0..<4 { t += i * x } return t }"
+        sources = {
+            "Lib": (f"func f0(x: Int) -> Int {body}\n"
+                    f"func f1(x: Int) -> Int {body}"),
+            "Main": "import Lib\nfunc main() { print(f0(x: 1) + f1(x: 2)) }",
+        }
+        outputs = {
+            mode: run_build(build_program(sources, BuildConfig(
+                pipeline="default", merge_mode=mode))).output
+            for mode in ("off", merge_mode)}
+        assert outputs[merge_mode] == outputs["off"]
+
     def test_wholeprogram_merges_to_one(self):
         sources = {
             "A": "func fa() -> Int { return 1 }",
@@ -108,6 +124,56 @@ func main() { let t = Thing()\n print(t.v) }
         layout = result.registry.class_layout(decl.type_id)
         assert layout.num_fields == 2
         assert layout.ref_field_indices == [1]
+
+
+class TestPhaseWork:
+    """What ``phase_work`` counts in each pipeline shape.
+
+    ``experiments/buildtime.py`` turns these counts into modelled minutes,
+    so each shape's definition is pinned here against a count computed
+    by hand, outside the pipeline code.
+    """
+
+    SOURCES = {
+        "A": ("func fa(x: Int) -> Int { return x * 3 + 1 }\n"
+              "func unused(x: Int) -> Int { return x * 5 + 2 }\n"),
+        "Main": ("import A\nfunc main() { var t = 0\n"
+                 " for i in 0..<4 { t += fa(x: i) }\n print(t) }\n"),
+    }
+
+    def test_wholeprogram_counts_post_opt_merged_lir(self):
+        from repro.lir.linker import link_modules
+        from repro.lir.passes import constprop, dce, globaldce, simplifycfg
+
+        config = BuildConfig(pipeline="wholeprogram", outline_rounds=1,
+                             merge_mode="off")
+        _, modules = frontend_to_lir(self.SOURCES)
+        result = build_lir_modules(modules, config)
+
+        # The Figure 10 opt sequence this config selects, run by hand.
+        _, fresh = frontend_to_lir(self.SOURCES)
+        merged = link_modules(fresh)
+        linked_instrs = merged.num_instrs
+        for run_on_module in (globaldce.run_on_module,
+                              constprop.run_on_module, dce.run_on_module,
+                              simplifycfg.run_on_module):
+            run_on_module(merged)
+        assert merged.num_instrs < linked_instrs  # opt changed the count
+        work = result.phase_work
+        assert set(work) == {"llvm-link", "opt", "llc", "link"}
+        assert work["llvm-link"] == work["opt"] == work["llc"] \
+            == merged.num_instrs
+
+    def test_default_counts_machine_instrs(self):
+        config = BuildConfig(pipeline="default", outline_rounds=1,
+                             merge_mode="off")
+        _, modules = frontend_to_lir(self.SOURCES)
+        lir_instrs = sum(m.num_instrs for m in modules)
+        result = build_lir_modules(modules, config)
+        machine_instrs = sum(m.num_instrs for m in result.machine_modules)
+        assert machine_instrs != lir_instrs
+        assert set(result.phase_work) == {"llc", "link"}
+        assert result.phase_work["llc"] == machine_instrs
 
 
 class TestBuildLIRModules:
