@@ -79,21 +79,6 @@ def _obs_session(args):
                 print(line)
 
 
-#: (argparse attribute, BuildConfig field) — flags default to None so an
-#: absent flag falls through to the preset (or built-in default): the
-#: documented ``explicit > preset > default`` precedence.
-_CLI_KNOBS = (
-    ("pipeline", "pipeline"), ("rounds", "outline_rounds"),
-    ("target", "target"), ("merge", "merge_mode"),
-    ("strip", "strip"),
-    ("data_layout", "data_layout"), ("layout", "layout"),
-    ("layout_seed", "layout_seed"), ("profile_in", "profile_path"),
-    ("workers", "workers"), ("incremental", "incremental"),
-    ("cache_dir", "cache_dir"), ("verify_image", "verify_image"),
-    ("fail_fast", "fail_fast"),
-)
-
-
 def _target_args(args) -> List[str]:
     """The ``--target`` values (``action="append"`` yields a list)."""
     value = getattr(args, "target", None)
@@ -102,8 +87,9 @@ def _target_args(args) -> List[str]:
     return list(value) if isinstance(value, list) else [value]
 
 
-def _config_from_args(args, knob_table=_CLI_KNOBS):
+def _config_from_args(args):
     from repro.pipeline import BuildConfig
+    from repro.pipeline.config import FIELD_STAGES
 
     # Multi---target slicing is handled by cmd_build/cmd_size (which null
     # out args.target first); everywhere else a single value is required.
@@ -112,9 +98,9 @@ def _config_from_args(args, knob_table=_CLI_KNOBS):
             raise ReproError("this command takes one --target; multi-target "
                              "slicing is a 'build'/'size' feature")
         args.target = args.target[0]
-    knobs = {config_field: getattr(args, attr)
-             for attr, config_field in knob_table
-             if getattr(args, attr, None) is not None}
+    # Config flags store under their field name; None means "not given".
+    knobs = {name: getattr(args, name) for name in FIELD_STAGES
+             if getattr(args, name, None) is not None}
     plan = _fault_plan(args)
     if plan is not None:
         knobs["fault_plan"] = plan
@@ -320,31 +306,14 @@ def cmd_serve(args) -> int:
     return 0
 
 
-#: The submit subcommand ships only fingerprint-bearing knobs over the
-#: wire; build-speed knobs (workers, cache) are the daemon's to choose.
-_SUBMIT_KNOBS = (
-    ("pipeline", "pipeline"), ("rounds", "outline_rounds"),
-    ("target", "target"), ("merge", "merge_mode"),
-    ("data_layout", "data_layout"), ("verify_image", "verify_image"),
-)
-
-
-def _submit_config(args) -> Dict[str, object]:
-    config = _config_from_args(args, knob_table=_SUBMIT_KNOBS)
-    return {"pipeline": config.pipeline,
-            "outline_rounds": config.outline_rounds,
-            "target": config.target, "merge_mode": config.merge_mode,
-            "data_layout": config.data_layout,
-            "verify_image": config.verify_image}
-
-
 def cmd_submit(args) -> int:
     from repro import api
+    from repro.service.protocol import config_to_wire
 
     client = api.connect(state_dir=args.state_dir, host=args.host_opt,
                          port=args.port_opt, timeout=args.client_timeout)
     outcome = client.submit(_load_sources(args.sources),
-                            config=_submit_config(args),
+                            config=config_to_wire(_config_from_args(args)),
                             deadline=args.deadline if args.deadline > 0
                             else None,
                             wait=not args.no_wait)
@@ -404,8 +373,15 @@ def cmd_experiments(args) -> int:
     return 0
 
 
-def _add_preset_arg(parser) -> None:
-    from repro.pipeline.config import PRESETS
+def _add_config_args(parser) -> None:
+    """The flags that set wire config fields, shared by ``submit``.  Each
+    stores under its BuildConfig field name and defaults to None, so an
+    absent flag falls through to the --preset, then to the defaults."""
+    from repro.link.funclayout import LAYOUT_MODES
+    from repro.lir.linker import DATA_LAYOUTS
+    from repro.pipeline.config import (MERGE_MODES, PIPELINES, PRESETS,
+                                       STRIP_MODES)
+    from repro.target import available_targets
 
     parser.add_argument("--preset", default=None,
                         choices=tuple(sorted(PRESETS)),
@@ -414,19 +390,10 @@ def _add_preset_arg(parser) -> None:
                              "fast-build: incremental inner-loop builds; "
                              "balanced: in between).  Explicit flags "
                              "override preset fields.")
-
-
-def _add_build_args(parser) -> None:
-    # Flags default to None (= "not given") so _config_from_args can tell
-    # an explicit flag from an absent one; absent flags fall through to
-    # the --preset (if any), then to the BuildConfig defaults.
-    parser.add_argument("sources", nargs="+", help="Swiftlet source files")
-    _add_preset_arg(parser)
-    parser.add_argument("--rounds", type=int, default=None,
+    parser.add_argument("--rounds", dest="outline_rounds", type=int,
+                        default=None, metavar="N",
                         help="machine outlining rounds (default 5)")
-    parser.add_argument("--pipeline", default=None,
-                        choices=("wholeprogram", "default"))
-    from repro.target import available_targets
+    parser.add_argument("--pipeline", default=None, choices=PIPELINES)
     parser.add_argument("--target", default=None, action="append",
                         choices=available_targets(),
                         help="target specification (instruction widths, "
@@ -435,8 +402,7 @@ def _add_build_args(parser) -> None:
                              "accept the flag repeatedly for an "
                              "app-thinning sliced build (one shared "
                              "frontend, one slice per target)")
-    from repro.pipeline.config import MERGE_MODES, STRIP_MODES
-    parser.add_argument("--merge", default=None,
+    parser.add_argument("--merge", dest="merge_mode", default=None,
                         choices=MERGE_MODES,
                         help="whole-program function merging: off, exact "
                              "(bit-identical dedup), or optimistic "
@@ -448,9 +414,7 @@ def _add_build_args(parser) -> None:
                              "machine functions unreachable from the entry "
                              "symbol right before the link (default off; "
                              "on in the min-size preset)")
-    parser.add_argument("--data-layout", default=None,
-                        choices=("module-order", "interleaved"))
-    from repro.link.funclayout import LAYOUT_MODES
+    parser.add_argument("--data-layout", default=None, choices=DATA_LAYOUTS)
     parser.add_argument("--layout", default=None, choices=LAYOUT_MODES,
                         help="function ordering in __text: source (link "
                              "order), callgraph-c3 (profile-guided "
@@ -458,7 +422,19 @@ def _add_build_args(parser) -> None:
                              "call-site census), random (seeded control)")
     parser.add_argument("--layout-seed", type=int, default=None,
                         help="seed for --layout random (default 0)")
-    parser.add_argument("--profile-in", default=None, metavar="PATH",
+    parser.add_argument("--verify-image", dest="verify_image",
+                        action="store_true", default=None,
+                        help="run the post-link binary verifier (default)")
+    parser.add_argument("--no-verify-image", dest="verify_image",
+                        action="store_false",
+                        help="skip the post-link binary verifier")
+
+
+def _add_build_args(parser) -> None:
+    parser.add_argument("sources", nargs="+", help="Swiftlet source files")
+    _add_config_args(parser)
+    parser.add_argument("--profile-in", dest="profile_path", default=None,
+                        metavar="PATH",
                         help="layout profile from a previous "
                              "'run --profile-out' feeding callgraph-c3 "
                              "edge weights")
@@ -470,12 +446,6 @@ def _add_build_args(parser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="cache location (default: $REPRO_CACHE_DIR "
                              "or a tempdir)")
-    parser.add_argument("--verify-image", dest="verify_image",
-                        action="store_true", default=None,
-                        help="run the post-link binary verifier (default)")
-    parser.add_argument("--no-verify-image", dest="verify_image",
-                        action="store_false",
-                        help="skip the post-link binary verifier")
     parser.add_argument("--fail-fast", action="store_true", default=None,
                         help="raise on the first worker failure instead of "
                              "retrying/degrading (for CI)")
@@ -597,26 +567,10 @@ def main(argv=None) -> int:
         p.add_argument("--client-timeout", type=float, default=300.0,
                        help="socket timeout waiting for the daemon")
 
-    from repro.pipeline.config import MERGE_MODES
-    from repro.target import available_targets
-
     p_submit = sub.add_parser("submit",
                               help="submit a build to a running daemon")
     p_submit.add_argument("sources", nargs="+", help="Swiftlet source files")
-    _add_preset_arg(p_submit)
-    p_submit.add_argument("--rounds", type=int, default=None)
-    p_submit.add_argument("--pipeline", default=None,
-                          choices=("wholeprogram", "default"))
-    p_submit.add_argument("--target", default=None,
-                          choices=available_targets())
-    p_submit.add_argument("--merge", default=None,
-                          choices=MERGE_MODES)
-    p_submit.add_argument("--data-layout", default=None,
-                          choices=("module-order", "interleaved"))
-    p_submit.add_argument("--verify-image", dest="verify_image",
-                          action="store_true", default=None)
-    p_submit.add_argument("--no-verify-image", dest="verify_image",
-                          action="store_false")
+    _add_config_args(p_submit)
     p_submit.add_argument("--deadline", type=float, default=0.0,
                           help="per-job deadline seconds (0 = daemon "
                                "default)")

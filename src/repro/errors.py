@@ -106,6 +106,13 @@ class ProfileError(ReproError):
     layout pass (or poison a cache key)."""
 
 
+class UnknownTargetError(ReproError, KeyError):
+    """A target name not registered in :mod:`repro.target` (a KeyError
+    too, for registry-lookup callers)."""
+
+    __str__ = Exception.__str__  # not KeyError's repr-quoting form
+
+
 class BuildError(ReproError):
     """The build orchestrator could not produce a binary.
 

@@ -26,6 +26,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import GCMetadataConflict, LinkError
 from repro.lir import ir
 
+#: Valid ``gc_metadata_mode`` values.
+GC_METADATA_MODES = ("attributes", "monolithic")
+#: Valid ``data_layout`` values.
+DATA_LAYOUTS = ("module-order", "interleaved")
+
 
 @dataclass
 class LinkOptions:
@@ -111,7 +116,8 @@ def _merge_metadata(merged: ir.LIRModule, module: ir.LIRModule,
                 # link phase only inspects the keys relevant to it.
                 target.setdefault(key, value)
         return
-    raise LinkError(f"unknown gc metadata mode {mode!r}")
+    raise LinkError(f"unknown gc metadata mode {mode!r}; expected one of: "
+                    f"{', '.join(GC_METADATA_MODES)}")
 
 
 def _order_globals(merged: ir.LIRModule, layout: str) -> None:
@@ -124,4 +130,5 @@ def _order_globals(merged: ir.LIRModule, layout: str) -> None:
         merged.globals.sort(
             key=lambda g: hashlib.sha1(g.symbol.encode()).hexdigest())
         return
-    raise LinkError(f"unknown data layout mode {layout!r}")
+    raise LinkError(f"unknown data layout mode {layout!r}; expected one of: "
+                    f"{', '.join(DATA_LAYOUTS)}")

@@ -45,7 +45,7 @@ from repro.pipeline import fncache
 from repro.pipeline import parallel
 from repro.pipeline.cache import ModuleCache
 from repro.pipeline.cancel import checkpoint
-from repro.pipeline.config import BuildConfig
+from repro.pipeline.config import PIPELINES, BuildConfig
 from repro.pipeline.report import BuildReport
 from repro.runtime.objects import ClassLayout, TypeRegistry
 from repro.sil.silgen import generate_sil
@@ -295,7 +295,8 @@ def _partition(lir_modules: List[lir_ir.LIRModule], config: BuildConfig,
             passes.append(("inliner", inliner.run_on_module))
         return ([(module, _llc_options(config, f"{module.name}::"))
                  for module in lir_modules], passes, True)
-    raise ReproError(f"unknown pipeline {config.pipeline!r}")
+    raise ReproError(f"unknown pipeline {config.pipeline!r}; expected one "
+                     f"of: {', '.join(PIPELINES)}")
 
 
 def _llc_options(config: BuildConfig, prefix: str) -> LLCOptions:
@@ -875,7 +876,6 @@ def _artifact_fingerprint(items: List[Tuple[str, str]],
                           config: BuildConfig) -> str:
     h = hashlib.sha256()
     h.update(config.frontend_fingerprint().encode("utf-8"))
-    h.update(b"|coupling=%d|" % int(config.enable_sil_outlining))
     for name, text in items:
         h.update(name.encode("utf-8"))
         h.update(b"\x00")

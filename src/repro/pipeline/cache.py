@@ -63,7 +63,9 @@ from repro.pipeline.faults import FaultPlan
 #: "5": per-module machine-code entries carry the partition's pass
 #: reports, so an llc-cache hit still counts towards the build's merge
 #: statistics.
-PIPELINE_CACHE_VERSION = "5"
+#: "6": fingerprints are generated from the per-field cache stages
+#: (``name=repr`` text), so every key's config text changed.
+PIPELINE_CACHE_VERSION = "6"
 
 
 def fingerprint_source(text: str) -> str:

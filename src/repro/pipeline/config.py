@@ -31,17 +31,33 @@ Precedence
 built-in defaults; anything passed as an override (or as an explicit CLI
 flag — the CLI uses ``None``-sentinel defaults to tell "explicit" from
 "absent") wins over the preset.
+
+Cache stages
+------------
+
+Every :class:`BuildConfig` field declares one cache stage (:data:`STAGES`)
+next to its default; the three fingerprints, :data:`SPEED_FIELDS` and the
+service wire whitelist are computed from the stages (DESIGN.md §18).
+**Rule for a new field:** declare it with ``_knob(stage, default)``, using
+the narrowest stage whose keys cover everything the field can change in
+the image and the build's reports; edit nothing else.  A field without a
+stage fails at import.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Dict, Optional
 
 from repro.errors import ReproError
+from repro.link.funclayout import LAYOUT_MODES, OUTLINED_LAYOUTS
+from repro.lir.linker import DATA_LAYOUTS, GC_METADATA_MODES
 from repro.pipeline.faults import FaultPlan
-from repro.target import default_target_name
+from repro.target import available_targets, default_target_name, get_target
+
+#: Valid pipeline shapes: Figure 2 and Figure 10.
+PIPELINES = ("default", "wholeprogram")
 
 #: Valid whole-program function-merging modes.
 MERGE_MODES = ("off", "exact", "optimistic")
@@ -71,6 +87,37 @@ def env_default(var: str) -> Optional[str]:
     return value or None
 
 
+#: The cache stages, by the keys a field in each enters: "frontend" the
+#: module, function and artifact keys (and every key built on them);
+#: "llc" the per-module machine-code key and the image key; "link" the
+#: image key only; "check" none, but it travels the service wire;
+#: "speed" none, and it never travels the wire.
+STAGES = ("frontend", "llc", "link", "check", "speed")
+
+
+def _knob(stage: str, default=MISSING, *, factory=MISSING, **meta):
+    """A BuildConfig field in cache *stage*; *meta* may add ``choices``
+    (its valid values, or a callable returning them) and ``encode`` (its
+    fingerprint text, default ``repr``)."""
+    return field(default=default, default_factory=factory,
+                 metadata=dict(meta, stage=stage))
+
+
+def _target_tag(name: str) -> str:
+    spec = get_target(name)
+    return f"{spec.name}:{spec.fingerprint()[:12]}"
+
+
+def _profile_tag(path: Optional[str]) -> str:
+    """The profile's content digest; its typed reader fails a corrupt
+    profile here with ProfileError, before it can key a cache entry."""
+    if path is None:
+        return "none"
+    from repro.sim.profile import profile_file_digest
+
+    return profile_file_digest(path)[:12]
+
+
 @dataclass
 class BuildConfig:
     """Options shared by the default and whole-program pipelines.
@@ -78,41 +125,45 @@ class BuildConfig:
     ``pipeline`` selects Figure 2 ("default": each module lowered to machine
     code independently) or Figure 10 ("wholeprogram": LIR from every module
     merged by llvm-link, optimized once, then lowered by a single llc run).
+    Each field names its cache stage (see :data:`STAGES`).
     """
 
-    pipeline: str = "wholeprogram"  # "default" | "wholeprogram"
+    pipeline: str = _knob("llc", "wholeprogram", choices=PIPELINES)
     #: Target specification name (see :mod:`repro.target`); defaults to
     #: ``$REPRO_TARGET`` or "arm64".  Changes instruction widths, alignment
-    #: and the outliner's cost model, so it is part of the backend
-    #: fingerprint (two targets never share an image-cache entry).
-    target: str = field(default_factory=default_target_name)
+    #: and the outliner's cost model; keyed by the spec's fingerprint, so
+    #: two targets never share an llc- or image-cache entry.
+    target: str = _knob("llc", factory=default_target_name,
+                        choices=available_targets, encode=_target_tag)
     #: Rounds of machine outlining; 0 disables.  In the default pipeline
     #: outlining runs per module; in the whole-program pipeline it sees the
     #: entire program (the paper's key distinction, Figure 12).
-    outline_rounds: int = 0
+    outline_rounds: int = _knob("llc", 0)
     #: llvm-link data-layout mode: "module-order" (paper's fix) or
     #: "interleaved" (upstream behaviour causing the §VI-3 regression).
-    data_layout: str = "module-order"
+    data_layout: str = _knob("link", "module-order", choices=DATA_LAYOUTS)
     #: llvm-link GC-metadata mode: "attributes" (fixed) or "monolithic".
-    gc_metadata_mode: str = "attributes"
+    gc_metadata_mode: str = _knob("link", "attributes",
+                                  choices=GC_METADATA_MODES)
     #: Baseline size optimizations (Table I rows).
-    enable_sil_outlining: bool = False
-    enable_merge_functions: bool = False
-    enable_fmsa: bool = False
-    enable_arc_opt: bool = True
+    enable_sil_outlining: bool = _knob("frontend", False)
+    enable_merge_functions: bool = _knob("link", False)
+    enable_fmsa: bool = _knob("link", False)
+    enable_arc_opt: bool = _knob("frontend", True)
     #: Whole-program function merging stacked with the outliner:
     #: "off", "exact" (bit-identical dedup only), or "optimistic"
     #: (similarity-hash merging with priced thunks; see
     #: :mod:`repro.lir.passes.optmerge`).  Runs *after* the scalar cleanup
     #: passes so the merger prices exactly the LIR that llc compiles.
     #: Defaults to ``$REPRO_MERGE`` or "off".
-    merge_mode: str = field(
-        default_factory=lambda: env_default("REPRO_MERGE") or "off")
+    merge_mode: str = _knob(
+        "llc", factory=lambda: env_default("REPRO_MERGE") or "off",
+        choices=MERGE_MODES)
     #: Strip functions unreachable from the entry point (app builds).
     #: Runs as an early LIR pass over the merged IR (whole-program
     #: pipeline only); see ``strip`` for the link-time machine-level
     #: equivalent that works in both pipeline shapes.
-    global_dce: bool = True
+    global_dce: bool = _knob("link", True)
     #: Link-time whole-program stripping: "off" or "program" (remove
     #: machine functions unreachable from the entry symbol through calls
     #: and address-taken references, right before the system link).
@@ -120,118 +171,95 @@ class BuildConfig:
     #: including outlined and merged functions — so it catches dead code
     #: the early LIR pass cannot (see
     #: :func:`repro.lir.passes.globaldce.strip_program`).
-    strip: str = "off"
+    strip: str = _knob("link", "off", choices=STRIP_MODES)
     #: Collect per-round outlining statistics (Table II).
-    collect_outline_stats: bool = True
+    collect_outline_stats: bool = _knob("llc", True)
     #: Text layout of outlined functions: "appended" (what the paper
     #: shipped) or "near-callers" (the paper's future work #3).
-    outlined_layout: str = "appended"
+    outlined_layout: str = _knob("link", "appended",
+                                 choices=OUTLINED_LAYOUTS)
     #: Whole-image function ordering (see :mod:`repro.link.funclayout`):
     #: "source" (link order), "callgraph-c3" (profile-guided call-chain
     #: clustering), or "random" (seeded control arm).  "near-callers"
     #: composes only with "source"; the linker rejects other combinations.
-    layout: str = "source"
-    #: Seed for ``layout="random"``; part of the backend fingerprint.
-    layout_seed: int = 0
+    layout: str = _knob("link", "source", choices=LAYOUT_MODES)
+    #: Seed for ``layout="random"``.
+    layout_seed: int = _knob("link", 0)
     #: Path to a serialized :class:`~repro.sim.profile.LayoutProfile` that
     #: feeds "callgraph-c3" edge weights; None = static call-site census.
-    #: The profile's content digest (not the path) enters the backend
-    #: fingerprint, so two builds with equal profiles share cache entries.
-    profile_path: Optional[str] = None
+    #: The profile's content digest (not the path) enters the image key,
+    #: so two builds with equal profiles share cache entries.
+    profile_path: Optional[str] = _knob("link", None, encode=_profile_tag)
     #: -Osize trivial inliner at the LIR level (future work #2 interaction).
-    enable_inliner: bool = False
+    enable_inliner: bool = _knob("llc", False)
 
     # -- build-speed knobs (never affect the produced binary) ---------------
     #: Worker processes for per-module lowering (1 = serial, 0 = auto).
-    workers: int = 1
+    workers: int = _knob("speed", 1)
     #: Consult/populate the content-addressed build cache.
-    incremental: bool = False
+    incremental: bool = _knob("speed", False)
     #: Cache location; None = $REPRO_CACHE_DIR or a tempdir default.
-    cache_dir: Optional[str] = None
+    cache_dir: Optional[str] = _knob("speed", None)
     #: Layer per-function LIR entries under the module entries, so editing
     #: one function relowers one function (the rest of its module is
     #: assembled from cache).  Only consulted when ``incremental`` is on.
-    incremental_functions: bool = True
+    incremental_functions: bool = _knob("speed", True)
     #: Cache per-module machine code (post-llc) under its own key in the
     #: default pipeline, so a link-only change (layout flip, one-module
     #: edit) re-links cached machine modules instead of re-running llc.
     #: Only consulted when ``incremental`` is on.
-    incremental_llc: bool = True
+    incremental_llc: bool = _knob("speed", True)
     #: Keep the forked worker pool alive across builds in this process
     #: (daemon / batch use) instead of fork+teardown per build.  Worker
     #: payloads are then shipped per task rather than inherited via
     #: fork-time copy-on-write; the fault ladder still tears the pool
     #: down and rebuilds it on a crash.
-    persistent_workers: bool = False
+    persistent_workers: bool = _knob("speed", False)
 
     # -- robustness knobs (never affect the produced binary) ----------------
     #: Run the post-link binary verifier on every build and every
     #: image-cache hit; a failure raises ImageVerifierError instead of
     #: returning a structurally wrong binary.
-    verify_image: bool = True
+    verify_image: bool = _knob("check", True)
     #: Deadline in seconds for one parallel compilation chunk; a chunk
     #: that misses it is retried and finally recompiled serially in the
     #: parent.  None disables the deadline (a hung worker then hangs the
     #: build).
-    chunk_timeout: Optional[float] = 60.0
+    chunk_timeout: Optional[float] = _knob("speed", 60.0)
     #: In-pool retries per chunk before the serial in-parent re-run.
-    max_chunk_retries: int = 2
+    max_chunk_retries: int = _knob("speed", 2)
     #: Base backoff in seconds between chunk retry rounds.
-    retry_backoff: float = 0.05
+    retry_backoff: float = _knob("speed", 0.05)
     #: Disable the degradation ladder: the first chunk failure raises a
     #: typed WorkerCrashError/BuildError instead of retrying.  Useful in
     #: CI, where a flaky worker should be noticed rather than absorbed.
-    fail_fast: bool = False
+    fail_fast: bool = _knob("speed", False)
     #: Seeded fault-injection schedule (tests/CI only; None = no faults).
-    fault_plan: Optional[FaultPlan] = None
+    fault_plan: Optional[FaultPlan] = _knob("speed", None)
     #: Cooperative cancellation/deadline scope for this build
     #: (:class:`~repro.pipeline.cancel.CancelScope`); checked at phase
     #: boundaries and between chunk-retry rounds.  The daemon gives every
     #: job its own scope; ``None`` (the one-shot CLI) never cancels.
-    cancel_scope: Optional[object] = None
+    cancel_scope: Optional[object] = _knob("speed", None)
+
+    def _fingerprint(self, *stages: str) -> str:
+        """``name=value`` for every field of *stages*, in declaration
+        order; a field's ``encode`` metadata overrides ``repr``."""
+        return ";".join(
+            f"{f.name}={f.metadata.get('encode', repr)(getattr(self, f.name))}"
+            for f in fields(self) if f.metadata["stage"] in stages)
 
     def frontend_fingerprint(self) -> str:
-        """Config fields that change per-module LIR (module cache key)."""
-        return (f"arc={int(self.enable_arc_opt)};"
-                f"siloutline={int(self.enable_sil_outlining)}")
-
-    def backend_fingerprint(self) -> str:
-        """Config fields that change the linked image given module LIR
-        (image cache key).  ``workers``/``incremental``/``cache_dir`` are
-        deliberately absent: builds must be bit-identical across them."""
-        from repro.target import get_target
-
-        spec = get_target(self.target)
-        return (f"target={spec.name}:{spec.fingerprint()[:12]};"
-                f"pipe={self.pipeline};rounds={self.outline_rounds};"
-                f"layout={self.data_layout};gc={self.gc_metadata_mode};"
-                f"merge={int(self.enable_merge_functions)};"
-                f"mergemode={self.merge_mode};"
-                f"fmsa={int(self.enable_fmsa)};"
-                f"gdce={int(self.global_dce)};"
-                f"strip={self.strip};"
-                f"stats={int(self.collect_outline_stats)};"
-                f"outlayout={self.outlined_layout};"
-                f"inline={int(self.enable_inliner)};"
-                f"funclayout={self.layout};lseed={self.layout_seed};"
-                f"profile={self._profile_digest_tag()}")
+        """Module, function and artifact key text (``frontend`` fields)."""
+        return self._fingerprint("frontend")
 
     def llc_fingerprint(self) -> str:
-        """Config fields that change one module's *machine code* in the
-        default pipeline (per-module llc cache key).  A strict subset of
-        :meth:`backend_fingerprint`: link-only fields (function layout,
-        layout seed, profile, outlined-function placement) and
-        whole-program-pipeline-only passes (globaldce, fmsa, exact merge
-        stage, llvm-link data layout) are excluded, so flipping them
-        re-links cached machine modules without re-running llc."""
-        from repro.target import get_target
+        """Per-module machine-code key text (``llc`` fields)."""
+        return self._fingerprint("llc")
 
-        spec = get_target(self.target)
-        return (f"target={spec.name}:{spec.fingerprint()[:12]};"
-                f"pipe={self.pipeline};rounds={self.outline_rounds};"
-                f"mergemode={self.merge_mode};"
-                f"stats={int(self.collect_outline_stats)};"
-                f"inline={int(self.enable_inliner)}")
+    def backend_fingerprint(self) -> str:
+        """Image key text (``llc`` and ``link`` fields)."""
+        return self._fingerprint("llc", "link")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "BuildConfig":
@@ -253,21 +281,6 @@ class BuildConfig:
             except TypeError as exc:
                 raise ReproError(f"bad preset override: {exc}") from None
         return config
-
-    def _profile_digest_tag(self) -> str:
-        """Content digest of the layout profile for the image cache key.
-
-        Digesting (rather than embedding the path) keeps the fingerprint
-        stable across checkouts and temp dirs; loading through the typed
-        reader means a corrupt profile fails the build at fingerprint time
-        with :class:`~repro.errors.ProfileError`, before it can key (or
-        poison) a cache entry.
-        """
-        if self.profile_path is None:
-            return "none"
-        from repro.sim.profile import profile_file_digest
-
-        return profile_file_digest(self.profile_path)[:12]
 
 
 #: Named presets (:meth:`BuildConfig.preset` / CLI ``--preset``).  Each
@@ -314,16 +327,21 @@ PRESETS: Dict[str, Dict[str, object]] = {
     },
 }
 
-#: Build-speed / robustness fields that must never enter a fingerprint
-#: (used by tests to pin the bit-identity contract).
-SPEED_FIELDS = frozenset({
-    "workers", "incremental", "cache_dir", "incremental_functions",
-    "incremental_llc", "persistent_workers", "chunk_timeout",
-    "max_chunk_retries", "retry_backoff", "fail_fast", "fault_plan",
-    "cancel_scope",
-})
+def stage_table(cls) -> Dict[str, str]:
+    """Field name -> cache stage of config dataclass *cls*; a field
+    without one of :data:`STAGES` raises :class:`TypeError`."""
+    table = {f.name: f.metadata.get("stage") for f in fields(cls)}
+    unstaged = [name for name, stage in table.items() if stage not in STAGES]
+    if unstaged:
+        raise TypeError(f"{cls.__name__} field(s) without a cache stage: "
+                        f"{', '.join(unstaged)}")
+    return table
 
 
-def config_fields() -> tuple:
-    """All BuildConfig field names (for CLI/facade plumbing)."""
-    return tuple(f.name for f in fields(BuildConfig))
+#: Field name -> cache stage, computed at import.
+FIELD_STAGES = stage_table(BuildConfig)
+
+#: Build-speed / robustness fields: never in a fingerprint, never on the
+#: wire (the bit-identity contract the tests pin).
+SPEED_FIELDS = frozenset(
+    name for name, stage in FIELD_STAGES.items() if stage == "speed")

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional
+from dataclasses import fields
+from typing import Dict, Optional, get_type_hints
 
 from repro import errors as errors_mod
 from repro.errors import ProtocolError, ReproError, ServiceError
-from repro.pipeline.config import SPEED_FIELDS, BuildConfig, config_fields
+from repro.pipeline.config import FIELD_STAGES, BuildConfig
 
 #: Protocol revision; bumped on incompatible frame-shape changes.
 PROTOCOL_VERSION = 1
@@ -133,15 +134,14 @@ CONFIG_WIRE_EXCLUDED = {
 }
 
 #: Fields a client may set: they define the artifact, not the machinery.
-#: Derived from the config-field partition rather than hand-maintained:
-#: every BuildConfig field that enters a fingerprint (i.e. is not a
-#: build-speed/robustness knob in SPEED_FIELDS) is wire-settable unless
-#: explicitly excluded above.  Adding a new artifact-defining knob to
-#: BuildConfig therefore makes it wire-round-trippable automatically.
+#: Derived from the per-field cache stages: every field outside the
+#: ``speed`` stage travels the wire unless explicitly excluded above.
 CONFIG_WIRE_FIELDS = tuple(
-    name for name in config_fields()
-    if name not in SPEED_FIELDS and name not in CONFIG_WIRE_EXCLUDED
-)
+    name for name, stage in FIELD_STAGES.items()
+    if stage != "speed" and name not in CONFIG_WIRE_EXCLUDED)
+
+_FIELDS = {f.name: f for f in fields(BuildConfig)}
+_TYPES = get_type_hints(BuildConfig)
 
 
 def config_to_wire(config: BuildConfig) -> Dict[str, object]:
@@ -149,18 +149,25 @@ def config_to_wire(config: BuildConfig) -> Dict[str, object]:
 
 
 def config_from_wire(data: Optional[Dict[str, object]]) -> BuildConfig:
-    """Whitelisted BuildConfig from a wire dict; typed error on junk."""
+    """Whitelisted BuildConfig from a wire dict; a typed ServiceError on an
+    unknown field, a value of the wrong type (``True`` is no int here) or
+    one outside the field's declared ``choices``."""
     data = data or {}
-    unknown = sorted(set(data) - set(CONFIG_WIRE_FIELDS))
+    unknown = sorted(map(str, set(data) - set(CONFIG_WIRE_FIELDS)))
     if unknown:
         raise ServiceError(
             f"unknown build-config field(s) on the wire: "
             f"{', '.join(unknown)} (allowed: "
             f"{', '.join(CONFIG_WIRE_FIELDS)})")
-    try:
-        return BuildConfig(**{str(k): v for k, v in data.items()})
-    except TypeError as exc:
-        raise ServiceError(f"bad build config: {exc}") from exc
+    for name, value in data.items():
+        expected = _TYPES[name]
+        choices = _FIELDS[name].metadata.get("choices", ())
+        choices = choices() if callable(choices) else choices
+        if type(value) is not expected or (choices and value not in choices):
+            raise ServiceError(
+                f"bad build config: {name}={value!r} (expected "
+                f"{' | '.join(map(repr, choices)) or expected.__name__})")
+    return BuildConfig(**data)
 
 
 # --- image identity ----------------------------------------------------------

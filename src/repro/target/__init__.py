@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple, Union
 
+from repro.errors import UnknownTargetError
 from repro.target.arm64 import ARM64
 from repro.target.spec import (
     CallingConvention,
@@ -62,7 +63,7 @@ def get_target(target: Union[str, TargetSpec, None] = None) -> TargetSpec:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownTargetError(
             f"unknown target {name!r}; available: "
             + ", ".join(available_targets())) from None
 

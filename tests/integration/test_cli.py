@@ -144,6 +144,15 @@ class TestErrorHandling:
         assert code == 1
         assert "bad fault spec" in err
 
+    def test_unknown_env_target(self, source_file, monkeypatch):
+        # $REPRO_TARGET bypasses argparse's --target choices.
+        monkeypatch.setenv("REPRO_TARGET", "x86")
+        code, out, err = run_cli_err(["build", source_file])
+        assert code == 1
+        assert err.startswith("error: UnknownTargetError: unknown target "
+                              "'x86'")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestRobustnessFlags:
     def test_faulted_build_degrades_and_still_answers(self, source_file,

@@ -37,6 +37,13 @@ def run_cli(args):
     return code, captured.getvalue()
 
 
+def _sha(out):
+    for line in out.splitlines():
+        if line.startswith("text sha:"):
+            return line.split()[-1]
+    raise AssertionError(f"no sha line in: {out}")
+
+
 def _src_path():
     return str(Path(__file__).resolve().parents[2] / "src")
 
@@ -93,14 +100,31 @@ class TestServeSubmitRoundTrip:
                                 "--state-dir", state_dir, "--rounds", "1"])
         assert code == 0
         assert "image cache hit (no recompilation)" in second
-
-        def _sha(out):
-            for line in out.splitlines():
-                if line.startswith("text sha:"):
-                    return line.split()[-1]
-            raise AssertionError(f"no sha line in: {out}")
-
         assert _sha(first) == _sha(second)
+
+    def test_submit_preset_matches_local_build(self, daemon, tmp_path):
+        """`submit --preset` ships every wire field of the preset (strip
+        and global_dce included), so the daemon's image is the local one."""
+        import hashlib
+
+        from repro.pipeline import BuildConfig, build_program
+        from repro.workloads.appgen import AppSpec, generate_app
+
+        _, state_dir = daemon
+        sources = generate_app(AppSpec(seed=11, base_features=4,
+                                       num_vendors=2))
+        paths = []
+        for name, text in sources.items():
+            path = tmp_path / f"{name}.sw"
+            path.write_text(text)
+            paths.append(str(path))
+        code, out = run_cli(["submit", *paths, "--state-dir", state_dir,
+                             "--preset", "min-size"])
+        assert code == 0, out
+        assert "strip:     program" in out
+        local = build_program(sources, BuildConfig.preset("min-size"))
+        want = hashlib.sha256(local.image.text_section()).hexdigest()
+        assert _sha(out) == want
 
     def test_degradation_lines_travel_the_wire(self, tmp_path):
         """A daemon injecting worker crashes: `repro submit` prints the

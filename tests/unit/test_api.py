@@ -18,7 +18,7 @@ import repro
 from repro import api
 from repro.errors import ReproError
 from repro.pipeline import BuildConfig, build_program
-from repro.pipeline.config import PRESETS, SPEED_FIELDS
+from repro.pipeline.config import FIELD_STAGES, PRESETS, SPEED_FIELDS
 
 SOURCES = {
     "App": """
@@ -139,8 +139,8 @@ class TestPresetEquivalence:
     def test_speed_fields_cover_preset_speed_knobs(self):
         """Every preset field that is not fingerprinted (i.e. not part of
         cache keys) must be declared in SPEED_FIELDS."""
-        fingerprinted = {"pipeline", "outline_rounds", "merge_mode",
-                         "global_dce", "strip", "target", "data_layout"}
+        fingerprinted = {name for name, stage in FIELD_STAGES.items()
+                         if stage in ("frontend", "llc", "link")}
         for name, fields in PRESETS.items():
             for field_name in fields:
                 assert (field_name in fingerprinted

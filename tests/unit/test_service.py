@@ -140,6 +140,29 @@ class TestConfigWire:
         with pytest.raises(ServiceError, match="unknown build-config"):
             config_from_wire({"workers": 8})
 
+    @pytest.mark.parametrize("field_name, value", [
+        ("outline_rounds", "x"),
+        ("outline_rounds", None),
+        ("outline_rounds", True),
+        ("target", "x86"),
+        ("enable_inliner", "yes"),
+        ("layout_seed", "x"),
+        ("merge_mode", "fuzzy"),
+    ])
+    def test_hostile_value_is_typed(self, field_name, value):
+        # Each used to reach the build as a raw TypeError/KeyError or to
+        # build silently with a junk value; now admission rejects it.
+        with pytest.raises(ServiceError, match=f"bad build config: "
+                                               f"{field_name}="):
+            config_from_wire({field_name: value})
+
+    def test_every_wire_field_round_trips_through_json(self):
+        import json
+
+        wire = json.loads(json.dumps(config_to_wire(
+            BuildConfig.preset("min-size"))))
+        assert config_from_wire(wire) == BuildConfig.preset("min-size")
+
     def test_operational_knobs_never_travel(self):
         # cache_dir/fault_plan/cancel_scope stay daemon-side by design.
         wire = config_to_wire(BuildConfig())
@@ -153,17 +176,17 @@ class TestConfigWire:
         # round-trippable; this pins the partition itself: every field
         # that enters a fingerprint either travels the wire or carries an
         # explicit exclusion reason in CONFIG_WIRE_EXCLUDED.
-        from repro.pipeline.config import SPEED_FIELDS, config_fields
+        from repro.pipeline.config import FIELD_STAGES, SPEED_FIELDS
         from repro.service.protocol import (
             CONFIG_WIRE_EXCLUDED,
             CONFIG_WIRE_FIELDS,
         )
 
-        fingerprinted = set(config_fields()) - SPEED_FIELDS
+        fingerprinted = set(FIELD_STAGES) - SPEED_FIELDS
         assert set(CONFIG_WIRE_FIELDS) | CONFIG_WIRE_EXCLUDED == fingerprinted
         assert not set(CONFIG_WIRE_FIELDS) & CONFIG_WIRE_EXCLUDED
         # Exclusions must name real fields, or they rot silently.
-        assert CONFIG_WIRE_EXCLUDED <= set(config_fields())
+        assert CONFIG_WIRE_EXCLUDED <= set(FIELD_STAGES)
         # The knob this partition exists for: strip travels the wire.
         assert "strip" in CONFIG_WIRE_FIELDS
         roundtrip = config_from_wire(

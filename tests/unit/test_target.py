@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from repro.errors import UnknownTargetError
 from repro.isa.instructions import MachineInstr, Opcode, Sym
 from repro.target import (
     available_targets,
@@ -39,8 +40,10 @@ def test_get_target_accepts_name_spec_and_none():
 
 
 def test_get_target_unknown_name_raises_with_choices():
-    with pytest.raises(KeyError, match="arm64"):
+    with pytest.raises(KeyError, match="arm64") as info:
         get_target("riscv128")
+    # Typed, so the CLI and the service report it as a toolchain error.
+    assert isinstance(info.value, UnknownTargetError)
 
 
 def test_repro_target_env_var_sets_the_default(monkeypatch):
